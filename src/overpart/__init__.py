@@ -5,14 +5,12 @@ identities."""
 from .core import (
     BEK, BOK, CE, CO, FAMILY_IDS, INFINITY, PBAR, PE, PEX, POEX, SPTK, SPTKO,
     CollisionError, Entry, FamilySpec, OverPartition, OverpartitionError,
-    ParseError, Stats, is_member, member_given_stats, parse,
-    parse_family_token, stats, why_not_member,
+    ParseError, Signature, Stats, is_member, member, parse,
+    parse_family_token, signature, stats, why_not_member,
 )
 from .enumeration import (
-    POEX_PRIME, SPTKO_PRIME, CountTable, SignedCount, count_family,
-    count_many, count_profile, count_table, derivation_sides,
-    family_elements, family_members, identity_sides, overpartitions,
-    signed_count,
+    count_many, count_profile, derivation_sides, family_elements,
+    identity_sides, overpartitions,
 )
 from .qseries import Series, cross_check, family_series, part_factor
 from .bijections import (

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
-    BEK, BOK, CE, CO, INFINITY, PE, PEX, POEX, SPTK, SPTKO,
+    BEK, BOK, CE, CO, PE, PEX, POEX, SPTK, SPTKO,
     FamilySpec, OverPartition, Stats, is_member, stats, why_not_member,
 )
 from .enumeration import count_profile, family_elements
@@ -241,7 +241,7 @@ def map_t3_odd(pi: OverPartition, n: int) -> MapTrace:
         raise PreconditionError(
             f"T3 matching applies only when the smallest plain part is 1 "
             f"(got {st.s})")
-    if st.s2 is INFINITY:
+    if len(pi) == 1:  # the 1 is the only entry
         raise PreconditionError("no part above the 1 to act on")
     entry = pi.entry_at(st.s2)
     ambiguous = entry.plain >= 1 and entry.over == 1

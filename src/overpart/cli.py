@@ -15,7 +15,7 @@ import sys
 
 from .core import ParseError, parse, parse_family_token
 from .enumeration import (
-    IDENTITIES, IDENTITY_START, count_many, identity_sides, signed_count,
+    IDENTITIES, IDENTITY_START, count_many, identity_sides,
 )
 from .bijections import (
     PreconditionError, apply_map, verify_bijection, verify_t3,
@@ -51,13 +51,15 @@ def _emit(text: str, out_path: str | None):
         print(text)
 
 
+def _check_n_max(args, low: int):
+    """Reject an ``--n-max`` below the first weight the command checks."""
+    if args.n_max < low:
+        raise ValueError(f"--n-max {args.n_max} checks nothing; "
+                         f"{args.command} needs --n-max >= {low}")
+
+
 def cmd_count(args) -> int:
-    fam, signed = parse_family_token(args.family, args.k)
-    if signed:
-        which = "POEX_PRIME" if fam.id == "POEX" else "SPTKO_PRIME"
-        value = signed_count(which, args.n, fam.k).value
-    else:
-        (value,) = count_many(args.n, [(fam, False)])
+    (value,) = count_many(args.n, [parse_family_token(args.family, args.k)])
     _emit(str(value), args.out)
     return EXIT_OK
 
@@ -66,6 +68,7 @@ def cmd_table(args) -> int:
     tokens = [t.strip() for t in args.families.split(",") if t.strip()]
     if not tokens:
         raise ValueError("no families given")
+    _check_n_max(args, 0)
     columns = [parse_family_token(t, args.k) for t in tokens]
     rows = [(n, count_many(n, columns)) for n in range(args.n_max + 1)]
     if args.format == "csv":
@@ -91,6 +94,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(IDENTITIES) if args.identity == "ALL" else [args.identity]
+    _check_n_max(args, min(IDENTITY_START[name] for name in names))
     lines = []
     all_pass = True
     for name in names:
@@ -140,6 +144,7 @@ def cmd_check_bijection(args) -> int:
     if args.n is not None:
         ns = [args.n]
     else:
+        _check_n_max(args, start)
         ns = list(range(start, args.n_max + 1))
     lines = []
     all_ok = True
@@ -178,6 +183,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    _check_n_max(args, 0)
     order = args.order if args.order is not None else max(args.n_max, 1)
     if order < args.n_max:
         raise ValueError("order must be at least n-max")

@@ -10,22 +10,11 @@ value).  The empty sequence is the unique overpartition of 0.
 
 Throughout, ``s`` denotes the smallest non-overlined ("plain") part
 value of an overpartition, and ``s2`` the smallest part value strictly
-greater than ``s``.  Ten families are selected by :class:`FamilySpec`:
-
-=========  ==========================================================
-``PBAR``   every overpartition
-``SPTK``   the smallest plain part appears exactly k times (as plain
-           copies) and every overlined part exceeds it
-``SPTKO``  SPTK, and every part value other than s has parity
-           opposite to s
-``PE``     all part values even
-``PEX``    no plain 1's
-``POEX``   all part values odd, no plain 1's
-``BEK``    SPTKO with an even number of parts greater than s
-``BOK``    SPTKO with an odd number of parts greater than s
-``CE``     POEX with an even number of parts
-``CO``     POEX with an odd number of parts
-=========  ==========================================================
+greater than ``s``.  The ten families (:class:`FamilySpec`) are defined
+once, in :data:`FAMILY_TABLE`: each row names a parent family and adds
+one clause on the overpartition's :class:`Signature`.  Membership,
+the explanations of non-membership, and every enumerated count and
+family listing read that table.
 
 Text literals are comma-separated tokens, largest part first, with a
 ``o`` suffix marking the overlined copy: ``"4o,2o,2,1"``.  The empty
@@ -37,16 +26,18 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple
 
 __all__ = [
     "INFINITY",
     "PBAR", "SPTK", "SPTKO", "PE", "PEX", "POEX", "BEK", "BOK", "CE", "CO",
     "FAMILY_IDS", "PARAMETRIC_FAMILIES",
     "OverpartitionError", "ParseError", "CollisionError",
-    "Entry", "OverPartition", "Stats", "FamilySpec",
-    "parse", "stats", "is_member", "member_given_stats", "why_not_member",
-    "parse_family_token",
+    "Entry", "OverPartition", "Stats", "FamilySpec", "Signature", "Family",
+    "FAMILY_TABLE", "SIGNED_REFINEMENTS",
+    "parse", "stats", "signature", "member", "is_member",
+    "why_not_member", "parse_family_token",
 ]
 
 INFINITY = math.inf
@@ -63,8 +54,6 @@ CE = "CE"
 CO = "CO"
 
 FAMILY_IDS = (PBAR, SPTK, SPTKO, PE, PEX, POEX, BEK, BOK, CE, CO)
-# families whose definition uses the multiplicity parameter k
-PARAMETRIC_FAMILIES = (SPTK, SPTKO, BEK, BOK)
 
 
 class OverpartitionError(ValueError):
@@ -320,9 +309,6 @@ def stats(pi: OverPartition) -> Stats:
     return Stats(weight, num, entry.value, entry.plain, s2, s2_over, above, sign_spt, sign_parts)
 
 
-_TOKEN_BY_ID = {PBAR: "pbar", PE: "pe", PEX: "pex", POEX: "poex", CE: "ce", CO: "co"}
-
-
 @dataclass(frozen=True, slots=True)
 class FamilySpec:
     """One of the ten families, with the multiplicity parameter ``k``
@@ -340,19 +326,7 @@ class FamilySpec:
     @property
     def token(self) -> str:
         """Short name used by the command line and table headers."""
-        if self.id == SPTK:
-            return f"spt{self.k}"
-        if self.id == SPTKO:
-            return f"spt{self.k}o"
-        if self.id == BEK:
-            return f"be{self.k}"
-        if self.id == BOK:
-            return f"bo{self.k}"
-        return _TOKEN_BY_ID[self.id]
-
-
-_SPT_TOKEN = re.compile(r"spt(\d*|k)(o?)\Z")
-_B_TOKEN = re.compile(r"(be|bo)(\d*)\Z")
+        return FAMILY_TABLE[self.id].token.format(k=self.k)
 
 
 def parse_family_token(token: str, default_k: int = 1) -> tuple[FamilySpec, bool]:
@@ -367,115 +341,134 @@ def parse_family_token(token: str, default_k: int = 1) -> tuple[FamilySpec, bool
     signed = tok.endswith("-prime")
     if signed:
         tok = tok[: -len("-prime")]
-    if tok in _TOKEN_BY_ID.values():
-        fam = FamilySpec({v: k for k, v in _TOKEN_BY_ID.items()}[tok])
-    else:
-        m = _SPT_TOKEN.match(tok)
-        b = _B_TOKEN.match(tok)
+    for fid, row in FAMILY_TABLE.items():
+        m = re.fullmatch(row.token.replace("{k}", r"(\d*|k)"), tok)
         if m:
-            digits = m.group(1)
-            k = default_k if digits in ("", "k") else int(digits)
-            fam = FamilySpec(SPTKO if m.group(2) else SPTK, k)
-        elif b:
-            k = int(b.group(2)) if b.group(2) else default_k
-            fam = FamilySpec(BEK if b.group(1) == "be" else BOK, k)
-        else:
-            raise ValueError(f"unknown family {token!r}")
-    if signed and fam.id not in (SPTKO, POEX):
+            k = m.group(1) if m.groups() else "1"  # families without k take k = 1
+            fam = FamilySpec(fid, int(k) if k.isdigit() else default_k)
+            break
+    else:
+        raise ValueError(f"unknown family {token!r}")
+    if signed and fam.id not in SIGNED_REFINEMENTS:
         raise ValueError(f"family {fam.token!r} has no signed (-prime) variant")
     return fam, signed
 
 
-def member_given_stats(pi: OverPartition, st: Stats, fam: FamilySpec) -> bool:
-    """Membership test reusing precomputed statistics (hot path)."""
-    fid = fam.id
-    if fid == PBAR:
-        return True
-    if fid == PE:
-        return all(v % 2 == 0 for v, _, _ in pi)
-    if fid == PEX:
-        return not pi or pi[-1][0] != 1 or pi[-1][1] == 0
-    if fid in (POEX, CE, CO):
-        if pi and pi[-1][0] == 1 and pi[-1][1]:
-            return False
-        if any(not v & 1 for v, _, _ in pi):
-            return False
-        if fid == CE:
-            return st.num_parts % 2 == 0
-        if fid == CO:
-            return st.num_parts % 2 == 1
-        return True
-    # smallest-plain-part families
-    if st.s is None or st.s_multiplicity != fam.k:
-        return False
-    last = pi[-1]
-    if last[0] != st.s or last[2]:
-        # an entry below s, or an overlined copy of s itself, breaks
-        # "every overlined part is greater than s"
-        return False
-    if fid == SPTK:
-        return True
-    par = st.s & 1
-    if any((v & 1) == par for v, _, _ in pi[:-1]):
-        return False
-    if fid == SPTKO:
-        return True
-    if fid == BEK:
-        return st.parts_above_s % 2 == 0
-    return st.parts_above_s % 2 == 1  # BOK
+class Signature(NamedTuple):
+    """What the family clauses read from one overpartition.  ``k`` is the
+    number of plain copies of s when the smallest entry is plain-only,
+    else 0; ``opposite`` says every other value has parity opposite to s."""
+
+    all_even: bool
+    all_odd: bool
+    plain_one: bool
+    parity: int  # of the number of parts
+    k: int
+    opposite: bool
+
+
+@lru_cache(maxsize=None)
+def _interned(*fields) -> Signature:
+    return Signature(*fields)
+
+
+def signature(entries) -> Signature:
+    """The interned :class:`Signature` of an overpartition, or of any
+    canonical sequence of ``(value, plain, over)`` runs."""
+    odd_values = parts = 0
+    for v, p, o in entries:
+        odd_values += v & 1
+        parts += p + o
+    # the empty overpartition has no smallest plain part
+    last, plain, over = entries[-1] if entries else (0, 0, 1)
+    k = 0 if over else plain
+    # every other value has the opposite parity: odd s is the only odd
+    # value, even s the only even one
+    opposite = k > 0 and odd_values == (1 if last & 1 else len(entries) - 1)
+    return _interned(odd_values == 0, odd_values == len(entries),
+                     last == 1 and plain > 0, parts & 1, k, opposite)
+
+
+class Family(NamedTuple):
+    """A row of :data:`FAMILY_TABLE`: the token (``{k}`` is the multiplicity),
+    the parent, whose clauses are tested first, and the family's own clause:
+    the test ``holds(sig, k)`` and the text ``why(pi, k)`` naming a violation."""
+
+    token: str
+    parent: str | None
+    holds: Callable[[Signature, int], bool]
+    why: Callable[[OverPartition, int], str] | None
+
+
+def _first_value(entries, parity: int) -> int:
+    return next(v for v, _, _ in entries if v & 1 == parity)
+
+
+def _why_not_k(pi: OverPartition, k: int) -> str:
+    plain = [e for e in pi if e.plain]
+    if not plain:
+        return "every part is overlined, so no smallest plain part exists"
+    s, copies, _ = plain[-1]
+    if copies != k:
+        return f"smallest plain part {s} appears {copies} time(s); must appear exactly {k}"
+    if pi[-1].value == s:
+        return f"the smallest plain part {s} also carries an overline"
+    return f"overlined part {pi[-1].value} is not greater than the smallest plain part {s}"
+
+
+FAMILY_TABLE = {
+    PBAR: Family("pbar", None, lambda sig, k: True, None),
+    PE: Family("pe", PBAR, lambda sig, k: sig.all_even,
+               lambda pi, k: f"part {_first_value(pi, 1)} is odd; every part must be even"),
+    PEX: Family("pex", PBAR, lambda sig, k: not sig.plain_one,
+                lambda pi, k: "contains a plain (non-overlined) 1"),
+    POEX: Family("poex", PEX, lambda sig, k: sig.all_odd,
+                 lambda pi, k: f"part {_first_value(pi, 0)} is even; every part must be odd"),
+    CE: Family("ce", POEX, lambda sig, k: sig.parity == 0,
+               lambda pi, k: f"number of parts is {pi.num_parts} (odd); must be even"),
+    CO: Family("co", POEX, lambda sig, k: sig.parity == 1,
+               lambda pi, k: f"number of parts is {pi.num_parts} (even); must be odd"),
+    SPTK: Family("spt{k}", PBAR, lambda sig, k: sig.k == k, _why_not_k),
+    SPTKO: Family("spt{k}o", SPTK, lambda sig, k: sig.opposite,
+                  lambda pi, k: (f"part {_first_value(pi[:-1], pi[-1].value & 1)} has the "
+                                 f"same parity as the smallest plain part {pi[-1].value}")),
+    # k of the num_parts parts are copies of s, so num_parts - k lie above s
+    BEK: Family("be{k}", SPTKO, lambda sig, k: (sig.parity + k) % 2 == 0,
+                lambda pi, k: f"{pi.num_parts - k} parts above {pi[-1].value} (odd); must be even"),
+    BOK: Family("bo{k}", SPTKO, lambda sig, k: (sig.parity + k) % 2 == 1,
+                lambda pi, k: f"{pi.num_parts - k} parts above {pi[-1].value} (even); must be odd"),
+}
+
+# families whose definition uses the multiplicity parameter k
+PARAMETRIC_FAMILIES = tuple(fid for fid, row in FAMILY_TABLE.items() if "{k}" in row.token)
+
+# signed family -> (even, odd) refinement; its signed count is even - odd
+SIGNED_REFINEMENTS = {SPTKO: (BEK, BOK), POEX: (CE, CO)}
+
+
+def _lineage(fid: str) -> tuple[Family, ...]:
+    row = FAMILY_TABLE[fid]
+    return (_lineage(row.parent) if row.parent else ()) + (row,)
+
+
+_LINEAGE = {fid: _lineage(fid) for fid in FAMILY_IDS}
+
+
+@lru_cache(maxsize=None)
+def member(sig: Signature, fam: FamilySpec) -> bool:
+    """Whether a signature meets every clause of the family; the table
+    is evaluated once per distinct signature and family."""
+    return all(row.holds(sig, fam.k) for row in _LINEAGE[fam.id])
 
 
 def is_member(pi: OverPartition, fam: FamilySpec) -> bool:
-    return member_given_stats(pi, stats(pi), fam)
+    return member(signature(pi), fam)
 
 
 def why_not_member(pi: OverPartition, fam: FamilySpec) -> str | None:
-    """Explain the first violated membership clause, or None if member.
-
-    Slower than :func:`is_member`; intended for error messages.
-    """
-    st = stats(pi)
-    fid = fam.id
-    if fid == PBAR:
+    """Explain the first violated membership clause, or None if member."""
+    sig = signature(pi)
+    if member(sig, fam):
         return None
-    if fid == PE:
-        for v, _, _ in pi:
-            if v & 1:
-                return f"part {v} is odd; every part must be even"
-        return None
-    if fid in (PEX, POEX, CE, CO):
-        if pi and pi[-1][0] == 1 and pi[-1][1]:
-            return "contains a plain (non-overlined) 1"
-        if fid != PEX:
-            for v, _, _ in pi:
-                if not v & 1:
-                    return f"part {v} is even; every part must be odd"
-            if fid == CE and st.num_parts % 2 != 0:
-                return f"number of parts is {st.num_parts} (odd); must be even"
-            if fid == CO and st.num_parts % 2 != 1:
-                return f"number of parts is {st.num_parts} (even); must be odd"
-        return None
-    if st.s is None:
-        return "every part is overlined, so no smallest plain part exists"
-    if st.s_multiplicity != fam.k:
-        return (f"smallest plain part {st.s} appears {st.s_multiplicity} "
-                f"time(s); must appear exactly {fam.k}")
-    last = pi[-1]
-    if last[2] and last[0] == st.s:
-        return f"the smallest plain part {st.s} also carries an overline"
-    if last[0] != st.s:
-        return (f"overlined part {last[0]} is not greater than the smallest "
-                f"plain part {st.s}")
-    if fid == SPTK:
-        return None
-    par = st.s & 1
-    for v, _, _ in pi[:-1]:
-        if (v & 1) == par:
-            return f"part {v} has the same parity as the smallest plain part {st.s}"
-    if fid == SPTKO:
-        return None
-    if fid == BEK and st.parts_above_s % 2 != 0:
-        return f"{st.parts_above_s} parts above {st.s} (odd); must be even"
-    if fid == BOK and st.parts_above_s % 2 != 1:
-        return f"{st.parts_above_s} parts above {st.s} (even); must be odd"
-    return None
+    row = next(row for row in _LINEAGE[fam.id] if not row.holds(sig, fam.k))
+    return row.why(pi, fam.k)

@@ -1,7 +1,11 @@
 """Exhaustive generation, exact counting, and signed counting of
 overpartitions, plus the identity checks built on those counts.
 
-All counts are exact Python integers (arbitrary precision).
+Membership comes only from the family table in :mod:`overpart.core`:
+each overpartition is reduced to its :class:`~overpart.core.Signature`,
+and the table is evaluated once per distinct signature.  Signed counts
+are differences of the even and odd refinements.  All counts are exact
+Python integers (arbitrary precision).
 
 Enumeration order
 -----------------
@@ -21,26 +25,20 @@ which golden tests freeze.  Family streams preserve this order.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .core import (
-    POEX, SPTKO,
-    FamilySpec, OverPartition, Stats, member_given_stats, stats,
+    FAMILY_IDS, SIGNED_REFINEMENTS, FamilySpec, OverPartition, Signature,
+    member, signature,
 )
 
 __all__ = [
-    "overpartitions", "family_members", "family_elements",
-    "count_family", "count_many", "count_profile", "profile_tokens",
-    "signed_count", "SPTKO_PRIME", "POEX_PRIME",
-    "CountTable", "SignedCount", "count_table",
+    "overpartitions", "family_elements", "count_many", "count_profile",
+    "profile_tokens",
     "IDENTITIES", "IDENTITY_START", "identity_sides", "derivation_sides",
 ]
-
-SPTKO_PRIME = "SPTKO_PRIME"
-POEX_PRIME = "POEX_PRIME"
 
 # annotated enumerations are memoized up to this weight; audits and
 # repeated family lookups stay below it, one-shot sweeps above it stream
@@ -62,58 +60,54 @@ def _runs(remaining: int, cap: int):
                 yield (head_over,) + tail
 
 
-def overpartitions(n: int) -> Iterator[OverPartition]:
-    """Yield every overpartition of ``n`` once, in the documented order."""
+def _entries(n: int):
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return (OverPartition(entries) for entries in _runs(n, n))
+    return _runs(n, n)
 
 
-def _annotated(n: int) -> Iterable[tuple[OverPartition, Stats]]:
-    if n <= _CACHE_LIMIT:
-        hit = _annotated_cache.get(n)
-        if hit is None:
-            hit = tuple((pi, stats(pi)) for pi in overpartitions(n))
-            _annotated_cache[n] = hit
-        return hit
-    return ((pi, stats(pi)) for pi in overpartitions(n))
+def overpartitions(n: int) -> Iterator[OverPartition]:
+    """Yield every overpartition of ``n`` once, in the documented order."""
+    return (OverPartition(entries) for entries in _entries(n))
 
 
-def family_members(fam: FamilySpec, n: int) -> Iterator[OverPartition]:
-    """Stream the members of the family among overpartitions of ``n``,
-    in enumeration order."""
-    return (pi for pi, st in _annotated(n) if member_given_stats(pi, st, fam))
+def _annotated(n: int) -> Iterable[tuple[OverPartition, Signature]]:
+    if n > _CACHE_LIMIT:
+        return ((pi, signature(pi)) for pi in overpartitions(n))
+    if n not in _annotated_cache:
+        _annotated_cache[n] = tuple((pi, signature(pi)) for pi in overpartitions(n))
+    return _annotated_cache[n]
 
 
 @lru_cache(maxsize=None)
 def family_elements(fam: FamilySpec, n: int) -> tuple[OverPartition, ...]:
-    """Memoized tuple of the family members at weight ``n``."""
-    return tuple(family_members(fam, n))
+    """Memoized family members at weight ``n``, in enumeration order."""
+    return tuple(pi for pi, sig in _annotated(n) if member(sig, fam))
 
 
-def count_family(fam: FamilySpec, n: int) -> int:
-    if n <= _CACHE_LIMIT:
-        return len(family_elements(fam, n))
-    return sum(1 for _ in family_members(fam, n))
+@lru_cache(maxsize=None)
+def _token_counts(n: int) -> Counter:
+    # one enumeration pass, then the family table once per distinct
+    # signature; a parametric family can only hold at k = sig.k
+    counts = Counter()
+    for sig, mult in Counter(map(signature, _entries(n))).items():
+        for fid in FAMILY_IDS:
+            fam = FamilySpec(fid, max(sig.k, 1))
+            if member(sig, fam):
+                counts[fam.token] += mult
+    # each -prime column is its even refinement minus its odd one
+    for fid, (even, odd) in SIGNED_REFINEMENTS.items():
+        for k in range(1, max(n, 1) + 1):
+            counts[FamilySpec(fid, k).token + "-prime"] = (
+                counts[FamilySpec(even, k).token] - counts[FamilySpec(odd, k).token])
+    return counts
 
 
 def count_many(n: int, columns: Iterable[tuple[FamilySpec, bool]]) -> list[int]:
-    """One enumeration pass computing several counts at weight ``n``.
-
-    Each column is ``(family, signed)``; a signed column accumulates
-    the family's sign statistic (parts above s for SPTKO, number of
-    parts for POEX) instead of 1.
-    """
-    cols = list(columns)
-    totals = [0] * len(cols)
-    for pi, st in _annotated(n):
-        for i, (fam, signed) in enumerate(cols):
-            if member_given_stats(pi, st, fam):
-                if signed:
-                    totals[i] += st.sign_spt if fam.id == SPTKO else st.sign_parts
-                else:
-                    totals[i] += 1
-    return totals
+    """Counts at weight ``n`` for ``(family, signed)`` columns; a signed
+    column is the even refinement's count minus the odd one's."""
+    counts = _token_counts(n)
+    return [counts[fam.token + ("-prime" if signed else "")] for fam, signed in columns]
 
 
 def profile_tokens(k_max: int = 1) -> list[str]:
@@ -124,76 +118,10 @@ def profile_tokens(k_max: int = 1) -> list[str]:
     return toks
 
 
-@lru_cache(maxsize=None)
 def count_profile(n: int, k_max: int = 1) -> dict[str, int]:
-    """All family counts and signed counts at weight ``n``, keyed by
-    family token, from a single enumeration pass."""
-    prof = dict.fromkeys(profile_tokens(k_max), 0)
-    for pi, st in _annotated(n):
-        prof["pbar"] += 1
-        if all(not v & 1 for v, _, _ in pi):
-            prof["pe"] += 1
-        if not pi or pi[-1][0] != 1 or pi[-1][1] == 0:
-            prof["pex"] += 1
-            if all(v & 1 for v, _, _ in pi):
-                prof["poex"] += 1
-                prof["ce" if st.num_parts % 2 == 0 else "co"] += 1
-                prof["poex-prime"] += st.sign_parts
-        if st.s is not None and pi[-1][0] == st.s and not pi[-1][2]:
-            k = st.s_multiplicity
-            if 1 <= k <= k_max:
-                prof[f"spt{k}"] += 1
-                par = st.s & 1
-                if all((v & 1) != par for v, _, _ in pi[:-1]):
-                    prof[f"spt{k}o"] += 1
-                    prof[f"be{k}" if st.parts_above_s % 2 == 0 else f"bo{k}"] += 1
-                    prof[f"spt{k}o-prime"] += st.sign_spt
-    return prof
-
-
-@dataclass(frozen=True)
-class SignedCount:
-    """A signed enumeration result: the even-refinement count minus the
-    odd-refinement count."""
-
-    n: int
-    value: int
-
-
-def signed_count(which: str, n: int, k: int = 1) -> SignedCount:
-    """Signed count by exhaustive enumeration.
-
-    ``which`` is ``SPTKO_PRIME`` (sign: parity of the number of parts
-    above the smallest plain part, within the SPTKO family) or
-    ``POEX_PRIME`` (sign: parity of the number of parts, within POEX).
-    """
-    if which == SPTKO_PRIME:
-        fam = FamilySpec(SPTKO, k)
-    elif which == POEX_PRIME:
-        fam = FamilySpec(POEX)
-    else:
-        raise ValueError(f"unknown signed count {which!r}")
-    (value,) = count_many(n, [(fam, True)])
-    return SignedCount(n, value)
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Counts of one family for n = 0..n_max."""
-
-    family: FamilySpec
-    rows: tuple[tuple[int, int], ...]
-
-    def to_csv(self) -> str:
-        return "\n".join(f"{n},{c}" for n, c in self.rows)
-
-    def to_json(self) -> str:
-        return json.dumps([{"n": n, "count": str(c)} for n, c in self.rows])
-
-
-def count_table(fam: FamilySpec, n_max: int) -> CountTable:
-    rows = tuple((n, count_family(fam, n)) for n in range(n_max + 1))
-    return CountTable(fam, rows)
+    """Every family and signed count with k <= ``k_max`` at weight ``n``, by token."""
+    counts = _token_counts(n)
+    return {tok: counts[tok] for tok in profile_tokens(k_max)}
 
 
 # ---------------------------------------------------------------------------

@@ -286,3 +286,17 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--families", "pbar", "--n-max", "-1"),
+        ("selftest", "--n-max", "-1"),
+        ("verify", "T1", "--n-max", "1"),
+        ("verify", "T4e", "--n-max", "2"),
+        ("verify", "ALL", "--n-max", "1"),
+        ("check-bijection", "T1", "--n-max", "1"),
+        ("check-bijection", "T3", "--n-max", "2"),
+    ])
+    def test_empty_range_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "checks nothing" in err

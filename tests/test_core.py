@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overpart.core import (
-    BEK, BOK, CE, CO, INFINITY, PBAR, PE, PEX, POEX, SPTK, SPTKO,
+    BEK, BOK, CE, CO, FAMILY_IDS, INFINITY, PBAR, PE, PEX, POEX, SPTK, SPTKO,
     CollisionError, Entry, FamilySpec, OverPartition, OverpartitionError,
-    ParseError, is_member, member_given_stats, parse, parse_family_token,
-    stats, why_not_member,
+    ParseError, is_member, parse, parse_family_token, stats, why_not_member,
 )
-from overpart.enumeration import overpartitions
+from overpart.enumeration import (
+    count_profile, family_elements, overpartitions, profile_tokens,
+)
 
 
 def overpartition_strategy(max_value=15, max_entries=5):
@@ -140,6 +141,36 @@ class TestStats:
         assert (st_.sign_parts == 1) == (st_.num_parts % 2 == 0)
 
 
+def readme_member(pi, fid, k):
+    """The README's family table, read over the expanded parts."""
+    parts = list(pi.parts())
+    values = [v for v, _ in parts]
+    plain = [v for v, overlined in parts if not overlined]
+    if fid == PBAR:
+        return True
+    if fid == PE:
+        return all(v % 2 == 0 for v in values)
+    if fid == PEX:
+        return 1 not in plain
+    if fid in (POEX, CE, CO):
+        poex = 1 not in plain and all(v % 2 == 1 for v in values)
+        if fid == POEX:
+            return poex
+        return poex and len(parts) % 2 == (0 if fid == CE else 1)
+    if not plain:
+        return False
+    s = min(plain)
+    spt = (plain.count(s) == k
+           and all(v > s for v, overlined in parts if overlined))
+    if fid == SPTK:
+        return spt
+    spto = spt and all(v % 2 != s % 2 for v in values if v != s)
+    if fid == SPTKO:
+        return spto
+    above = sum(1 for v in values if v > s)
+    return spto and above % 2 == (0 if fid == BEK else 1)
+
+
 class TestMembership:
     def test_examples(self):
         assert is_member(parse("4,3"), FamilySpec(SPTKO, 1))
@@ -162,8 +193,7 @@ class TestMembership:
         fams = {fid: FamilySpec(fid) for fid in
                 (SPTK, SPTKO, PE, PEX, POEX, BEK, BOK, CE, CO)}
         for pi in overpartitions(n):
-            st_ = stats(pi)
-            m = {fid: member_given_stats(pi, st_, f) for fid, f in fams.items()}
+            m = {fid: is_member(pi, f) for fid, f in fams.items()}
             assert (m[BEK] or m[BOK]) == m[SPTKO]
             assert not (m[BEK] and m[BOK])
             assert not m[SPTKO] or m[SPTK]
@@ -175,13 +205,27 @@ class TestMembership:
     def test_nesting_with_k(self, k):
         for n in range(12):
             for pi in overpartitions(n):
-                st_ = stats(pi)
-                spto = member_given_stats(pi, st_, FamilySpec(SPTKO, k))
-                spt = member_given_stats(pi, st_, FamilySpec(SPTK, k))
-                be = member_given_stats(pi, st_, FamilySpec(BEK, k))
-                bo = member_given_stats(pi, st_, FamilySpec(BOK, k))
+                spto = is_member(pi, FamilySpec(SPTKO, k))
+                spt = is_member(pi, FamilySpec(SPTK, k))
+                be = is_member(pi, FamilySpec(BEK, k))
+                bo = is_member(pi, FamilySpec(BOK, k))
                 assert (be or bo) == spto
                 assert not spto or spt
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_readme_definitions(self, k):
+        for n in range(11):
+            for pi in overpartitions(n):
+                for fid in FAMILY_IDS:
+                    fam = FamilySpec(fid, k)
+                    assert is_member(pi, fam) == readme_member(pi, fid, k), (str(pi), fam)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_profile_counts_family_elements(self, n):
+        for tok in profile_tokens(3):
+            fam, signed = parse_family_token(tok)
+            if not signed:
+                assert count_profile(n, 3)[tok] == len(family_elements(fam, n)), tok
 
     @settings(max_examples=80, deadline=None)
     @given(overpartition_strategy(), st.sampled_from(

@@ -1,15 +1,16 @@
-import json
-
 import pytest
 
 from overpart.core import (
     BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SPTK, SPTKO, FamilySpec, parse,
+    parse_family_token,
 )
 from overpart.enumeration import (
-    IDENTITY_START, POEX_PRIME, SPTKO_PRIME, count_family, count_many,
-    count_profile, count_table, derivation_sides, family_elements,
-    family_members, identity_sides, overpartitions, signed_count,
+    IDENTITY_START, count_many, count_profile, derivation_sides,
+    family_elements, identity_sides, overpartitions,
 )
+
+_POEX_PRIME = (FamilySpec(POEX), True)
+_SPT1O_PRIME = (FamilySpec(SPTKO, 1), True)
 
 # the 14 overpartitions of 4 in the frozen enumeration order
 ORDER_N4 = [
@@ -45,23 +46,22 @@ class TestEnumeration:
 
 class TestFamilyStreams:
     def test_spt1_at_6(self):
-        got = {str(pi) for pi in family_members(FamilySpec(SPTK, 1), 6)}
+        got = {str(pi) for pi in family_elements(FamilySpec(SPTK, 1), 6)}
         assert got == {"6", "4,2", "4o,2", "5,1", "5o,1",
                        "3,2,1", "3o,2,1", "3,2o,1", "3o,2o,1"}
 
     def test_poex_at_6(self):
-        got = {str(pi) for pi in family_members(FamilySpec(POEX), 6)}
+        got = {str(pi) for pi in family_elements(FamilySpec(POEX), 6)}
         assert got == {"3,3", "3o,3", "5,1o", "5o,1o"}
 
     def test_spt1_at_0_empty(self):
-        assert list(family_members(FamilySpec(SPTK, 1), 0)) == []
+        assert family_elements(FamilySpec(SPTK, 1), 0) == ()
 
     def test_stream_matches_filter_order(self):
         from overpart.core import is_member
         fam = FamilySpec(PEX)
         for n in (5, 8):
             filtered = [pi for pi in overpartitions(n) if is_member(pi, fam)]
-            assert list(family_members(fam, n)) == filtered
             assert family_elements(fam, n) == tuple(filtered)
 
 
@@ -75,17 +75,18 @@ class TestCounts:
     ])
     def test_reference_counts(self, fid, k, n, expect):
         fam = FamilySpec(fid, k) if k else FamilySpec(fid)
-        assert count_family(fam, n) == expect
+        assert count_many(n, [(fam, False)]) == [expect]
+        assert len(family_elements(fam, n)) == expect
 
     def test_hand_checked_tables(self):
         # rows verified by direct listing
-        spt1 = [count_family(FamilySpec(SPTK, 1), n) for n in range(7)]
+        spt1 = [count_profile(n)["spt1"] for n in range(7)]
         assert spt1 == [0, 1, 1, 3, 3, 7, 9]
-        pex = [count_family(FamilySpec(PEX), n) for n in range(7)]
+        pex = [count_profile(n)["pex"] for n in range(7)]
         assert pex == [1, 1, 2, 4, 6, 10, 16]
-        poex = [count_family(FamilySpec(POEX), n) for n in range(9)]
+        poex = [count_profile(n)["poex"] for n in range(9)]
         assert poex == [1, 1, 0, 2, 2, 2, 4, 4, 6]
-        pe = [count_family(FamilySpec(PE), n) for n in range(9)]
+        pe = [count_profile(n)["pe"] for n in range(9)]
         assert pe == [1, 0, 2, 0, 4, 0, 8, 0, 14]
 
     def test_weight_zero_conventions(self):
@@ -102,12 +103,12 @@ class TestCounts:
             assert prof["be2"] + prof["bo2"] == prof["spt2o"]
             assert prof["ce"] + prof["co"] == prof["poex"]
 
-    def test_profile_agrees_with_count_family(self):
+    def test_profile_agrees_with_family_elements(self):
         for n in (0, 3, 7, 11):
             prof = count_profile(n, 3)
             for fam in (FamilySpec(PBAR), FamilySpec(PE), FamilySpec(CE),
                         FamilySpec(SPTK, 2), FamilySpec(BOK, 3)):
-                assert prof[fam.token] == count_family(fam, n)
+                assert prof[fam.token] == len(family_elements(fam, n))
 
     def test_count_many_single_pass(self):
         cols = [(FamilySpec(SPTK, 1), False), (FamilySpec(PEX), False),
@@ -120,38 +121,28 @@ class TestCounts:
 
 class TestSignedCounts:
     def test_poex_prime_8(self):
-        assert signed_count(POEX_PRIME, 8).value == 6
+        assert count_many(8, [_POEX_PRIME]) == [6]
 
     def test_poex_prime_0(self):
-        assert signed_count(POEX_PRIME, 0).value == 1
+        assert count_many(0, [_POEX_PRIME]) == [1]
 
     def test_sptko_prime_pair(self):
-        total = (signed_count(SPTKO_PRIME, 9).value
-                 + signed_count(SPTKO_PRIME, 7).value)
-        assert total == -6
-        assert total == -signed_count(POEX_PRIME, 8).value
+        (at9,), (at7,) = count_many(9, [_SPT1O_PRIME]), count_many(7, [_SPT1O_PRIME])
+        assert at9 + at7 == -6
+        assert at9 + at7 == -count_many(8, [_POEX_PRIME])[0]
 
     def test_signed_equals_refinement_difference(self):
         for n in range(14):
             prof = count_profile(n, 1)
-            assert signed_count(SPTKO_PRIME, n).value == prof["be1"] - prof["bo1"]
-            assert signed_count(POEX_PRIME, n).value == prof["ce"] - prof["co"]
+            assert count_many(n, [_SPT1O_PRIME, _POEX_PRIME]) == [
+                prof["be1"] - prof["bo1"], prof["ce"] - prof["co"]]
+            assert prof["spt1o-prime"] == prof["be1"] - prof["bo1"]
+            assert prof["poex-prime"] == prof["ce"] - prof["co"]
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            signed_count("nope", 4)
-
-
-class TestCountTable:
-    def test_csv(self):
-        table = count_table(FamilySpec(POEX), 4)
-        assert table.to_csv() == "0,1\n1,1\n2,0\n3,2\n4,2"
-
-    def test_json_counts_are_strings(self):
-        table = count_table(FamilySpec(PBAR), 4)
-        rows = json.loads(table.to_json())
-        assert rows[4] == {"n": 4, "count": "14"}
-        assert all(isinstance(r["count"], str) for r in rows)
+        for token in ("nope-prime", "pe-prime", "be1-prime"):
+            with pytest.raises(ValueError):
+                parse_family_token(token)
 
 
 class TestIdentities:
