@@ -23,6 +23,10 @@ from .bijections import (
 from .qseries import cross_check, series_for_token
 
 DEFAULT_ORDER = 200
+# series tables hold O(order^2) integers; at this order the heaviest
+# token (be1, four parity tables) takes about 3.3 s and 430 MiB, and
+# selftest (every table and k <= 4) about 12 s and 690 MiB
+MAX_ORDER = 4000
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -35,12 +39,18 @@ def _default_order() -> int:
     if env:
         try:
             value = int(env)
-            if value >= 1:
+            if 1 <= value <= MAX_ORDER:
                 return value
         except ValueError:
             pass
-        print(f"ignoring invalid OVERPART_ORDER={env!r}", file=sys.stderr)
+        print(f"ignoring invalid OVERPART_ORDER={env!r} "
+              f"(must be an integer from 1 to the cap {MAX_ORDER})", file=sys.stderr)
     return DEFAULT_ORDER
+
+
+def _check_order(order: int):
+    if order > MAX_ORDER:
+        raise ValueError(f"truncation order {order} is above the cap {MAX_ORDER}")
 
 
 def _emit(text: str, out_path: str | None):
@@ -176,6 +186,7 @@ def cmd_check_bijection(args) -> int:
 
 def cmd_series(args) -> int:
     order = args.order if args.order is not None else _default_order()
+    _check_order(order)
     ser = series_for_token(args.family, order, args.k)
     text = "\n".join(f"{i}\t{c}" for i, c in enumerate(ser.coeffs))
     _emit(text, args.out)
@@ -185,6 +196,7 @@ def cmd_series(args) -> int:
 def cmd_selftest(args) -> int:
     _check_n_max(args, 0)
     order = args.order if args.order is not None else max(args.n_max, 1)
+    _check_order(order)
     if order < args.n_max:
         raise ValueError("order must be at least n-max")
     mismatches = cross_check(args.n_max, args.k_max, order)
@@ -254,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="print q-series coefficients, one per line")
     p.add_argument("family")
     p.add_argument("--order", type=int, default=None,
-                   help=f"truncation order (default OVERPART_ORDER or {DEFAULT_ORDER})")
+                   help=f"truncation order, at most {MAX_ORDER} "
+                        f"(default OVERPART_ORDER or {DEFAULT_ORDER})")
     p.add_argument("--k", type=int, default=1)
     add_out(p)
     p.set_defaults(func=cmd_series)
@@ -262,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="cross-check enumeration against the q-series oracle")
     p.add_argument("--n-max", type=int, default=30)
     p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=int, default=None,
+                   help=f"truncation order, at most {MAX_ORDER} (default n-max)")
     add_out(p)
     p.set_defaults(func=cmd_selftest)
 

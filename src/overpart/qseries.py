@@ -12,12 +12,19 @@ contributed by that value.  Family series are assembled from these
 factors exactly as the family definitions read; evaluating at z = -1
 turns the two signed families (SPTKO, POEX) into their even-minus-odd
 refinements.
+
+Products are never formed densely.  ``_times_part_factor`` multiplies a
+coefficient list by one factor in place: it divides by (1 - z*q^j) with
+an ascending running sum, then multiplies by (1 + z*q^j), each a few
+slice-wide integer additions.  One factor costs O(order) additions, so
+a table of suffix products over every part value costs O(order^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 
 from .core import (
     BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SPTK, SPTKO,
@@ -82,32 +89,52 @@ class Series:
         return Series(n, tuple(out))
 
 
+def _times_numerator(coeffs: list[int], j: int, z: int) -> None:
+    # coeffs *= 1 + z*q^j in place; the right-hand slices are copies, so
+    # every term reads the coefficient from before the update
+    coeffs[j:] = map(add if z == 1 else sub, coeffs[j:], coeffs[:-j])
+
+
+def _times_part_factor(coeffs: list[int], j: int, z: int) -> None:
+    """coeffs *= (1 + z*q^j)/(1 - z*q^j) in place, truncated at the
+    list's length."""
+    op = add if z == 1 else sub
+    # divide by 1 - z*q^j: c[i] += z*c[i-j], ascending one block of j at a
+    # time so each block reads the already divided block below it
+    for lo in range(j, len(coeffs), j):
+        coeffs[lo:lo + j] = map(op, coeffs[lo:lo + j], coeffs[lo - j:lo])
+    _times_numerator(coeffs, j, z)
+
+
 def part_factor(j: int, z: int, order: int) -> Series:
     """Truncation of (1 + z*q^j)/(1 - z*q^j) = 1 + 2*sum z^m q^(jm)."""
     if j < 1:
         raise ValueError("part value must be positive")
     if z not in (1, -1):
         raise ValueError("z must be +1 or -1")
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    zm = 1
-    for e in range(j, order + 1, j):
-        zm *= z
-        coeffs[e] = 2 * zm
+    coeffs = [1] + [0] * order
+    _times_part_factor(coeffs, j, z)
     return Series(order, tuple(coeffs))
 
 
 @lru_cache(maxsize=16)
 def _suffix_products(order: int, z: int, parity: str) -> tuple[Series, ...]:
     """prods[s] = product of part_factor(j, z, order) over j > s with j
-    restricted by parity ("all", "odd", or "even")."""
-    prods = [Series.one(order)] * (order + 1)
-    acc = Series.one(order)
+    restricted by parity ("all", "odd", or "even").
+
+    One running coefficient list is updated in place from j = order down
+    to 1, and a snapshot is taken after each factor: O(order) additions
+    per factor, O(order^2) for the table.  Consecutive entries that no
+    factor separates share one ``Series``."""
+    acc = [1] + [0] * order
+    prods = [Series(order, tuple(acc))] * (order + 1)
     for s in range(order - 1, -1, -1):
         j = s + 1
         if parity == "all" or (j & 1) == (1 if parity == "odd" else 0):
-            acc = acc * part_factor(j, z, order)
-        prods[s] = acc
+            _times_part_factor(acc, j, z)
+            prods[s] = Series(order, tuple(acc))
+        else:
+            prods[s] = prods[s + 1]
     return tuple(prods)
 
 
@@ -153,13 +180,13 @@ def family_series(fam: FamilySpec, order: int, z: int = 1) -> Series:
         return _suffix_products(order, z, "all")[0]
     if fid == PE:
         return _suffix_products(order, z, "even")[0]
-    if fid == PEX:
-        # value 1 may appear only overlined; every value >= 2 is free
-        only_overlined_one = Series.from_list([1, z], order)
-        return only_overlined_one * _suffix_products(order, z, "all")[1]
-    if fid == POEX:
-        only_overlined_one = Series.from_list([1, z], order)
-        return only_overlined_one * _suffix_products(order, z, "odd")[1]
+    if fid in (PEX, POEX):
+        # value 1 may appear only overlined; every value >= 2 (PEX) or
+        # every odd value >= 3 (POEX) is free
+        above_one = _suffix_products(order, z, "all" if fid == PEX else "odd")[1]
+        coeffs = list(above_one.coeffs)
+        _times_numerator(coeffs, 1, z)
+        return Series(order, tuple(coeffs))
     if fid == SPTK:
         suffix = _suffix_products(order, z, "all")
         return _shifted_sum(lambda s: suffix[s], fam.k, order)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from overpart.cli import main
+import overpart.cli as cli
+from overpart.cli import MAX_ORDER, main
+from overpart.qseries import Series
 
 # trace listings exactly reproducing the worked figures; contents
 # verified element by element against the boxed groupings
@@ -261,6 +263,40 @@ class TestSeries:
 
     def test_signed_rejected_for_unsigned_family(self, capsys):
         assert run(capsys, "series", "pe-prime", "--order", "5")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("series", "pbar"),
+        ("selftest", "--n-max", "4"),
+    ])
+    def test_order_above_cap(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--order", str(MAX_ORDER + 1))
+        assert (code, out) == (2, "")
+        assert f"above the cap {MAX_ORDER}" in err
+
+    def test_env_order_above_cap_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("OVERPART_ORDER", str(MAX_ORDER + 1))
+        code, out, err = run(capsys, "series", "pe")
+        assert code == 0
+        assert len(out.strip().splitlines()) == cli.DEFAULT_ORDER + 1
+        assert f"ignoring invalid OVERPART_ORDER='{MAX_ORDER + 1}'" in err
+        assert str(MAX_ORDER) in err
+
+    @pytest.mark.parametrize("argv, engine", [
+        (("series", "pbar"), "series_for_token"),
+        (("selftest", "--n-max", "4"), "cross_check"),
+    ])
+    def test_order_at_cap_accepted(self, capsys, monkeypatch, argv, engine):
+        # the cap check alone: a stub stands in for the O(order^2) tables
+        seen = []
+
+        def stub(*args):
+            seen.append(args)
+            return Series.one(1) if engine == "series_for_token" else []
+
+        monkeypatch.setattr(cli, engine, stub)
+        code, _, err = run(capsys, *argv, "--order", str(MAX_ORDER))
+        assert (code, err) == (0, "")
+        assert MAX_ORDER in seen[0]
 
 
 class TestSelftest:

@@ -1,9 +1,13 @@
+from functools import lru_cache
+from operator import add
+
 import pytest
 
 from overpart.core import (
-    BEK, CE, CO, PBAR, PE, PEX, POEX, SPTK, SPTKO, FamilySpec,
+    BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SPTK, SPTKO, FamilySpec,
+    parse_family_token,
 )
-from overpart.enumeration import count_profile
+from overpart.enumeration import count_profile, profile_tokens
 from overpart.qseries import (
     Series, cross_check, family_series, part_factor, series_for_token,
 )
@@ -63,6 +67,15 @@ class TestPartFactor:
             prod = prod * part_factor(j, 1, 8)
         assert prod.coefficient(4) == 14
         assert prod == family_series(FamilySpec(PBAR), 8)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_closed_form(self, n):
+        for j in range(1, n + 3):
+            for z in (1, -1):
+                want = [1] + [0] * n
+                for m, e in enumerate(range(j, n + 1, j), start=1):
+                    want[e] = 2 * z ** m
+                assert part_factor(j, z, n).coeffs == tuple(want)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -135,21 +148,94 @@ class TestCrossCheck:
             cross_check(10, 1, 5)
 
     def test_corrupted_factor_detected(self, monkeypatch):
-        real = qseries.part_factor
+        real = qseries._times_part_factor
 
-        def corrupted(j, z, order):
-            ser = real(j, z, order)
+        def corrupted(coeffs, j, z):
+            before = coeffs[:]
+            real(coeffs, j, z)
             if j == 2:
-                coeffs = list(ser.coeffs)
-                coeffs[2] += 1
-                return Series(order, tuple(coeffs))
-            return ser
+                # multiply by the j = 2 factor with its q^2 coefficient
+                # off by one: the extra term adds q^2 times the input
+                coeffs[2:] = map(add, coeffs[2:], before[:-2])
 
-        monkeypatch.setattr(qseries, "part_factor", corrupted)
+        monkeypatch.setattr(qseries, "_times_part_factor", corrupted)
+        # rebuild the memoized suffix products through the corrupted factor
+        qseries._suffix_products.cache_clear()
         try:
-            # order 13 is unique to this test so the memoized suffix
-            # products are rebuilt through the corrupted factor
             mismatches = cross_check(13, 1, 13)
         finally:
             qseries._suffix_products.cache_clear()
         assert mismatches
+
+
+# Dense reference: every family assembled from part_factor products
+# through Series.__mul__, the way the definitions read.
+
+@lru_cache(maxsize=None)
+def _dense_suffix(order, z, parity):
+    prods = [Series.one(order)] * (order + 1)
+    acc = Series.one(order)
+    for s in range(order - 1, -1, -1):
+        j = s + 1
+        if parity == "all" or j % 2 == (parity == "odd"):
+            acc = acc * part_factor(j, z, order)
+        prods[s] = acc
+    return prods
+
+
+def _monomial(e, order):
+    return Series.from_list([0] * e + [1], order)
+
+
+def _dense_series(fam, order, z):
+    if fam.id == PBAR:
+        return _dense_suffix(order, z, "all")[0]
+    if fam.id == PE:
+        return _dense_suffix(order, z, "even")[0]
+    if fam.id in (PEX, POEX):
+        above_one = _dense_suffix(order, z, "all" if fam.id == PEX else "odd")[1]
+        return Series.from_list([1, z], order) * above_one
+    if fam.id in (SPTK, SPTKO):
+        out = Series.from_list([], order)
+        for s in range(1, order // fam.k + 1):
+            if fam.id == SPTK:
+                above = _dense_suffix(order, z, "all")[s]
+            else:
+                above = _dense_suffix(order, z, "odd" if s % 2 == 0 else "even")[s]
+            out = out + _monomial(fam.k * s, order) * above
+        return out
+    base = FamilySpec(SPTKO, fam.k) if fam.id in (BEK, BOK) else FamilySpec(POEX)
+    plus, minus = _dense_series(base, order, 1), _dense_series(base, order, -1)
+    total = plus + minus if fam.id in (BEK, CE) else plus - minus
+    return Series(order, tuple(c // 2 for c in total.coeffs))
+
+
+class TestInPlaceEngine:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_primitive_matches_dense_product(self, n):
+        coeffs = [(7 * i * i - 3 * i + 2) % 11 - 5 for i in range(n + 1)]
+        for j in range(1, n + 1):
+            for z in (1, -1):
+                got = list(coeffs)
+                qseries._times_part_factor(got, j, z)
+                want = Series(n, tuple(coeffs)) * part_factor(j, z, n)
+                assert tuple(got) == want.coeffs
+
+    @pytest.mark.parametrize("order", [*range(1, 41), 200])
+    def test_family_series_matches_dense_reference(self, order):
+        for token in profile_tokens(4):
+            fam, signed = parse_family_token(token)
+            z = -1 if signed else 1
+            assert family_series(fam, order, z) == _dense_series(fam, order, z), token
+
+    def test_no_dense_product_in_family_series(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("family_series used a dense product")
+
+        monkeypatch.setattr(Series, "__mul__", refuse)
+        qseries._suffix_products.cache_clear()  # rebuild every table
+        try:
+            for token in profile_tokens(2):
+                series_for_token(token, 17)
+        finally:
+            qseries._suffix_products.cache_clear()
