@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -211,7 +212,10 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if not mismatches else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing keeps no
+    state in it, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="overpart",
         description="Overpartition families: exact counts, q-series "

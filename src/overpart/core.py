@@ -27,6 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Callable, Iterator, NamedTuple
 
 __all__ = [
@@ -91,6 +92,8 @@ class OverPartition(tuple):
     values, so they are immutable, hashable, and cheaply comparable.
     Construct from entries (validated), from expanded parts with
     :meth:`from_parts`, or from a literal with :func:`parse`.
+    Enumeration and entry surgery skip revalidation, because their
+    results are canonical by construction.
     """
 
     __slots__ = ()
@@ -162,63 +165,50 @@ class OverPartition(tuple):
         return None
 
     # ---- entry surgery (all return new instances) -------------------
+    # each move rebuilds only the entry it changes and shares the rest
 
     def add_plain(self, value: int) -> "OverPartition":
+        value = index(value)  # the new entry must hold an int
         if value < 1:
             raise OverpartitionError(f"part value must be positive, got {value}")
-        items = list(self)
-        for i, (v, p, o) in enumerate(items):
+        for i, (v, p, o) in enumerate(self):
             if v == value:
-                items[i] = (v, p + 1, o)
-                break
+                return _canonical(self[:i] + (Entry(v, p + 1, o),) + self[i + 1:])
             if v < value:
-                items.insert(i, (value, 1, 0))
-                break
-        else:
-            items.append((value, 1, 0))
-        return OverPartition(items)
+                return _canonical(self[:i] + (Entry(value, 1, 0),) + self[i:])
+        return _canonical(self + (Entry(value, 1, 0),))
 
     def remove_plain(self, value: int) -> "OverPartition":
-        items = list(self)
-        for i, (v, p, o) in enumerate(items):
+        for i, (v, p, o) in enumerate(self):
             if v == value:
                 if p < 1:
                     raise OverpartitionError(f"no plain copy of {value} to remove")
                 if p + o == 1:
-                    del items[i]
-                else:
-                    items[i] = (v, p - 1, o)
-                return OverPartition(items)
+                    return _canonical(self[:i] + self[i + 1:])
+                return _canonical(self[:i] + (Entry(v, p - 1, o),) + self[i + 1:])
         raise OverpartitionError(f"no part of value {value}")
 
     def add_overline(self, value: int) -> "OverPartition":
+        value = index(value)  # the new entry must hold an int
         if value < 1:
             raise OverpartitionError(f"part value must be positive, got {value}")
-        items = list(self)
-        for i, (v, p, o) in enumerate(items):
+        for i, (v, p, o) in enumerate(self):
             if v == value:
                 if o:
                     raise CollisionError(f"value {value} is already overlined")
-                items[i] = (v, p, 1)
-                break
+                return _canonical(self[:i] + (Entry(v, p, 1),) + self[i + 1:])
             if v < value:
-                items.insert(i, (value, 0, 1))
-                break
-        else:
-            items.append((value, 0, 1))
-        return OverPartition(items)
+                return _canonical(self[:i] + (Entry(value, 0, 1),) + self[i:])
+        return _canonical(self + (Entry(value, 0, 1),))
 
     def remove_overline(self, value: int) -> "OverPartition":
-        items = list(self)
-        for i, (v, p, o) in enumerate(items):
+        for i, (v, p, o) in enumerate(self):
             if v == value:
                 if not o:
                     raise OverpartitionError(f"no overlined copy of {value} to remove")
                 if p == 0:
-                    del items[i]
-                else:
-                    items[i] = (v, p, 0)
-                return OverPartition(items)
+                    return _canonical(self[:i] + self[i + 1:])
+                return _canonical(self[:i] + (Entry(v, p, 0),) + self[i + 1:])
         raise OverpartitionError(f"no part of value {value}")
 
     def __str__(self) -> str:
@@ -226,6 +216,12 @@ class OverPartition(tuple):
 
     def __repr__(self) -> str:
         return f"OverPartition({self.to_text()!r})"
+
+
+def _canonical(entries) -> OverPartition:
+    """Wrap a sequence of :class:`Entry` that is canonical by construction,
+    without revalidation; outside input goes through ``OverPartition``."""
+    return tuple.__new__(OverPartition, entries)
 
 
 def parse(text: str) -> OverPartition:

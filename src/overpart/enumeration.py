@@ -30,8 +30,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .core import (
-    FAMILY_IDS, SIGNED_REFINEMENTS, FamilySpec, OverPartition, Signature,
-    member, signature,
+    FAMILY_IDS, SIGNED_REFINEMENTS, Entry, FamilySpec, OverPartition, Signature,
+    _canonical, member, signature,
 )
 
 __all__ = [
@@ -68,7 +68,9 @@ def _entries(n: int):
 
 def overpartitions(n: int) -> Iterator[OverPartition]:
     """Yield every overpartition of ``n`` once, in the documented order."""
-    return (OverPartition(entries) for entries in _entries(n))
+    # the runs are canonical by construction, so no entry is revalidated
+    new = tuple.__new__
+    return (_canonical([new(Entry, e) for e in entries]) for entries in _entries(n))
 
 
 def _annotated(n: int) -> Iterable[tuple[OverPartition, Signature]]:
@@ -82,7 +84,17 @@ def _annotated(n: int) -> Iterable[tuple[OverPartition, Signature]]:
 @lru_cache(maxsize=None)
 def family_elements(fam: FamilySpec, n: int) -> tuple[OverPartition, ...]:
     """Memoized family members at weight ``n``, in enumeration order."""
-    return tuple(pi for pi, sig in _annotated(n) if member(sig, fam))
+    # one pass, so the streamed n > _CACHE_LIMIT sweep still works; the
+    # table is evaluated once per distinct signature
+    verdicts: dict[Signature, bool] = {}
+    members = []
+    for pi, sig in _annotated(n):
+        holds = verdicts.get(sig)
+        if holds is None:
+            holds = verdicts[sig] = member(sig, fam)
+        if holds:
+            members.append(pi)
+    return tuple(members)
 
 
 @lru_cache(maxsize=None)

@@ -225,6 +225,9 @@ def cross_check(n_max: int, k_max: int = 1, order: int | None = None):
         order = max(n_max, 1)
     if order < n_max:
         raise ValueError("order must be at least n_max")
+    # a member of a k-family has at least k parts, so every column with
+    # k > n_max reads 0 by enumeration and by series at each compared n
+    k_max = min(k_max, max(n_max, 1))
     series = {tok: series_for_token(tok, order, 1) for tok in profile_tokens(k_max)}
     mismatches = []
     for n in range(n_max + 1):

@@ -3,7 +3,9 @@ import json
 import pytest
 
 import overpart.cli as cli
+import overpart.qseries as qseries
 from overpart.cli import MAX_ORDER, main
+from overpart.enumeration import profile_tokens
 from overpart.qseries import Series
 
 # trace listings exactly reproducing the worked figures; contents
@@ -315,10 +317,38 @@ class TestSelftest:
         assert code == 2
         assert "order" in err
 
+    def test_k_max_clamped_to_n_max(self, capsys, monkeypatch):
+        # columns with k > n-max are 0 on both sides, so they are not built;
+        # the verdict line still names the k-max given
+        small = run(capsys, "selftest", "--n-max", "3", "--k-max", "4")
+        built = []
+        real = qseries.series_for_token
+
+        def recording(token, order, default_k=1):
+            built.append(token)
+            return real(token, order, default_k)
+
+        monkeypatch.setattr(qseries, "series_for_token", recording)
+        code, out, err = run(capsys, "selftest", "--n-max", "3", "--k-max", "100000")
+        assert (code, out, err) == (small[0], small[1].replace("k <= 4", "k <= 100000"),
+                                    small[2])
+        assert "selftest PASS" in out
+        assert built == profile_tokens(3)
+
 
 class TestUsage:
     def test_no_command(self, capsys):
         assert run(capsys, )[0] == 2
+
+    def test_consecutive_calls_share_no_state(self, capsys):
+        # the parser is built once per process; no option value may carry
+        # over from one call to the next
+        assert cli.build_parser() is cli.build_parser()
+        spt3 = run(capsys, "count", "sptk", "10", "--k", "3")
+        assert run(capsys, "count", "sptk", "10", "--k")[0] == 2
+        assert run(capsys, "count", "sptk", "10") == run(capsys, "count", "spt1", "10")
+        assert run(capsys, "count", "spt3", "10") == spt3
+        assert spt3[1] != run(capsys, "count", "spt1", "10")[1]
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

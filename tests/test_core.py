@@ -258,6 +258,23 @@ class TestSurgery:
     def test_remove_overline(self):
         assert parse("4o,4,1").remove_overline(4) == parse("4,1")
 
+    def test_trusted_results_match_validated_rebuild(self):
+        # every legal move on every overpartition of n <= 12: surgery skips
+        # revalidation, so each result must survive the validating
+        # constructor unchanged and hold only Entry instances
+        for n in range(13):
+            for pi in overpartitions(n):
+                overlined = {v for v, _, o in pi if o}
+                results = [pi.add_plain(v) for v in range(1, n + 2)]
+                results += [pi.add_overline(v) for v in range(1, n + 2)
+                            if v not in overlined]
+                results += [pi.remove_plain(v) for v, p, _ in pi if p]
+                results += [pi.remove_overline(v) for v, _, o in pi if o]
+                for out in results:
+                    assert type(out) is OverPartition
+                    assert out == OverPartition(list(out)), (str(pi), str(out))
+                    assert all(type(e) is Entry for e in out)
+
     def test_entry_at(self):
         pi = parse("4o,2,2,1")
         assert pi.entry_at(2) == Entry(2, 2, 0)

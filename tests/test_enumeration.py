@@ -1,8 +1,8 @@
 import pytest
 
 from overpart.core import (
-    BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SPTK, SPTKO, FamilySpec, parse,
-    parse_family_token,
+    BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SPTK, SPTKO, Entry, FamilySpec,
+    OverPartition, parse, parse_family_token,
 )
 from overpart.enumeration import (
     IDENTITY_START, count_many, count_profile, derivation_sides,
@@ -38,6 +38,14 @@ class TestEnumeration:
             seen = list(overpartitions(n))
             assert len(seen) == len(set(seen))
             assert all(pi.weight == n for pi in seen)
+
+    def test_trusted_objects_match_validated_rebuild(self):
+        # enumeration skips revalidation; its objects must be canonical
+        for n in range(15):
+            for pi in overpartitions(n):
+                assert type(pi) is OverPartition
+                assert pi == OverPartition(list(pi)), str(pi)
+                assert all(type(e) is Entry for e in pi)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
