@@ -30,6 +30,16 @@ T4   be1/bo1(n) u be1/bo1(n-2) -> pe(n-1) u co/ce(n-1)
        Case I (s even): same moves as T2 B/D, landing in CO (variant
        E) or CE (variant O); Case II (s odd): delete the 1 when s=1
        from the n summand, otherwise the T2 C/E moves, landing in PE
+
+T2, T3's even-s map and T4 make the same three moves (delete the 1
+at s=1 in the n summand, lower the other n-summand s, raise every
+n-2-summand s) and differ only in a label table giving the branch and
+codomain tag per (source, case); a case left out is outside the domain.
+One audit engine checks every theorem from one row: its domain
+summands, its codomain tags (each defined once with family, weight and
+sign statistic) and whether every trace must flip sign.  A component
+that is also a domain summand (T3's matching) must be hit by exactly
+that summand's unmapped elements.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from .core import (
     BEK, BOK, CE, CO, PE, PEX, POEX, SPTK, SPTKO,
     FamilySpec, OverPartition, Stats, is_member, stats, why_not_member,
 )
-from .enumeration import count_profile, family_elements
+from .enumeration import IDENTITY_START, family_elements, identity_sides
 
 __all__ = [
     "SOURCE_N", "SOURCE_N_MINUS_1", "SOURCE_N_MINUS_2",
@@ -53,20 +63,58 @@ SOURCE_N = "N"
 SOURCE_N_MINUS_1 = "N-1"
 SOURCE_N_MINUS_2 = "N-2"
 
+# weight of each domain summand, as an offset from n
+_OFFSET = {SOURCE_N: 0, SOURCE_N_MINUS_1: -1, SOURCE_N_MINUS_2: -2}
+
 _SPT1 = FamilySpec(SPTK, 1)
 _SPT1O = FamilySpec(SPTKO, 1)
 _BE1 = FamilySpec(BEK, 1)
 _BO1 = FamilySpec(BOK, 1)
 _PE = FamilySpec(PE)
 _PEX = FamilySpec(PEX)
-_POEX = FamilySpec(POEX)
-_CE = FamilySpec(CE)
-_CO = FamilySpec(CO)
 
-# which parity statistic carries the sign for a codomain tag
-_TARGET_SIGN = {
-    "POEX": "parts", "CE": "parts", "CO": "parts",
-    "SPT1O-N": "spt", "SPT1O-N-2": "spt",
+# codomain tag -> (family, weight offset from n, the output's Stats sign
+# field compared against the input's sign_spt, or None for no sign)
+_TARGETS = {
+    "PEX": (_PEX, 0, None),
+    "PE-copy1": (_PE, -1, None), "PE-copy2": (_PE, -1, None),
+    "POEX": (FamilySpec(POEX), -1, "sign_parts"),
+    "PE": (_PE, -1, None),
+    "CO": (FamilySpec(CO), -1, "sign_parts"), "CE": (FamilySpec(CE), -1, "sign_parts"),
+    "SPT1O-N": (_SPT1O, 0, "sign_spt"), "SPT1O-N-2": (_SPT1O, -2, "sign_spt"),
+}
+
+
+def _t4_labels(refined: str) -> dict:
+    return {(SOURCE_N, "one"): ("CaseII-s1", "PE"), (SOURCE_N, "odd"): ("CaseII-n", "PE"),
+            (SOURCE_N, "even"): ("CaseI-n", refined),
+            (SOURCE_N_MINUS_2, "even"): ("CaseI-n-2", refined),
+            (SOURCE_N_MINUS_2, "odd"): ("CaseII-n-2", "PE")}
+
+
+# spt1o-type map -> (name in messages, labels); labels send (source,
+# case) to (branch, target tag), with case "one" for s=1 in the N
+# summand, else "even" or "odd" by the parity of s
+_SPT1O_MAPS = {
+    "T2": ("T2", {
+        (SOURCE_N, "one"): ("A", "PE-copy1"), (SOURCE_N, "even"): ("B", "POEX"),
+        (SOURCE_N, "odd"): ("C", "PE-copy2"), (SOURCE_N_MINUS_2, "even"): ("D", "POEX"),
+        (SOURCE_N_MINUS_2, "odd"): ("E", "PE-copy2")}),
+    "T3": ("T3 even-s", {(SOURCE_N, "even"): ("even-n", "POEX"),
+                         (SOURCE_N_MINUS_2, "even"): ("even-n-2", "POEX")}),
+    "T4e": ("T4e", _t4_labels("CO")),
+    "T4o": ("T4o", _t4_labels("CE")),
+}
+
+
+# theorem -> (domain family, its second summand's source tag (the first
+# is N), codomain component tags, whether every trace must flip sign)
+_AUDITS = {
+    "T1": (_SPT1, SOURCE_N_MINUS_1, ("PEX",), False),
+    "T2": (_SPT1O, SOURCE_N_MINUS_2, ("PE-copy1", "PE-copy2", "POEX"), False),
+    "T3": (_SPT1O, SOURCE_N_MINUS_2, ("SPT1O-N", "SPT1O-N-2", "POEX"), True),
+    "T4e": (_BE1, SOURCE_N_MINUS_2, ("PE", "CO"), False),
+    "T4o": (_BO1, SOURCE_N_MINUS_2, ("PE", "CE"), False),
 }
 
 
@@ -149,36 +197,34 @@ def _require(pi: OverPartition, fam: FamilySpec, weight: int, role: str):
 
 
 def _flip(st_in: Stats, out: OverPartition, target_tag: str) -> bool:
-    kind = _TARGET_SIGN.get(target_tag)
-    if kind is None:
-        return False
-    st_out = stats(out)
-    if kind == "spt":
-        return st_in.sign_spt != st_out.sign_spt
-    return st_in.sign_spt != st_out.sign_parts
+    sign = _TARGETS[target_tag][2]
+    return sign is not None and st_in.sign_spt != getattr(stats(out), sign)
+
+
+def _lower(pi: OverPartition, s: int) -> OverPartition:
+    return pi.remove_plain(s).add_overline(s - 1)  # s -> overlined s-1
+
+
+def _raise(pi: OverPartition, s: int) -> OverPartition:
+    return pi.remove_plain(s).add_plain(s + 1)  # s -> plain s+1
 
 
 def map_t1(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
     """Weight-preserving map into pex(n) from spt1(n) (tag N) or
     spt1(n-1) (tag N-1).  Branches f1..f4 as in the module docstring."""
-    if source_tag == SOURCE_N:
-        _require(pi, _SPT1, n, "T1 source N")
-        st = stats(pi)
-        if st.s > 1:
-            branch, out = "f1", pi
-        else:
-            branch, out = "f2", pi.remove_plain(1).add_overline(1)
-    elif source_tag == SOURCE_N_MINUS_1:
-        _require(pi, _SPT1, n - 1, "T1 source N-1")
-        st = stats(pi)
-        if st.s2 - st.s > 1:  # s2 may be INFINITY
-            branch, out = "f3", pi.remove_plain(st.s).add_overline(st.s + 1)
-        else:
-            branch, out = "f4", pi.remove_plain(st.s).add_plain(st.s + 1)
-    else:
+    if source_tag not in (SOURCE_N, SOURCE_N_MINUS_1):
         raise PreconditionError("T1 source must be N or N-1")
-    flip = _flip(st, out, "PEX")
-    return MapTrace("T1", source_tag, branch, pi, out, "PEX", flip)
+    _require(pi, _SPT1, n + _OFFSET[source_tag], f"T1 source {source_tag}")
+    st = stats(pi)
+    if source_tag == SOURCE_N and st.s > 1:
+        branch, out = "f1", pi
+    elif source_tag == SOURCE_N:
+        branch, out = "f2", pi.remove_plain(1).add_overline(1)
+    elif st.s2 - st.s > 1:  # s2 may be INFINITY
+        branch, out = "f3", pi.remove_plain(st.s).add_overline(st.s + 1)
+    else:
+        branch, out = "f4", _raise(pi, st.s)
+    return MapTrace("T1", source_tag, branch, pi, out, "PEX", _flip(st, out, "PEX"))
 
 
 def inv_t1(mu: OverPartition, n: int) -> tuple[OverPartition, str]:
@@ -198,30 +244,31 @@ def inv_t1(mu: OverPartition, n: int) -> tuple[OverPartition, str]:
     return mu.remove_plain(m).add_plain(m - 1), SOURCE_N_MINUS_1
 
 
+def _spt1o_map(theorem: str, pi: OverPartition, source_tag: str, n: int) -> MapTrace:
+    # the moves T2, T3's even-s map and T4 share, labelled by _SPT1O_MAPS
+    role, labels = _SPT1O_MAPS[theorem]
+    fam = _AUDITS[theorem][0]
+    if source_tag not in (SOURCE_N, SOURCE_N_MINUS_2):
+        raise PreconditionError(f"{role} source must be N or N-2")
+    _require(pi, fam, n + _OFFSET[source_tag], f"{role} source {source_tag}")
+    st = stats(pi)
+    case = ("one" if st.s == 1 and source_tag == SOURCE_N
+            else "odd" if st.s % 2 else "even")
+    if (source_tag, case) not in labels:  # only T3's even-s map leaves cases out
+        raise PreconditionError(
+            f"{role} map needs an even smallest plain part (got {st.s})")
+    branch, target = labels[source_tag, case]
+    if case == "one":
+        out = pi.remove_plain(1)
+    else:
+        out = (_lower if source_tag == SOURCE_N else _raise)(pi, st.s)
+    return MapTrace(theorem, source_tag, branch, pi, out, target, _flip(st, out, target))
+
+
 def map_t2(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
     """Map into the tagged union pe(n-1) + pe(n-1) + poex(n-1) from
     spt1o(n) (tag N) or spt1o(n-2) (tag N-2)."""
-    if source_tag == SOURCE_N:
-        _require(pi, _SPT1O, n, "T2 source N")
-        st = stats(pi)
-        if st.s == 1:
-            branch, out, target = "A", pi.remove_plain(1), "PE-copy1"
-        elif st.s % 2 == 0:
-            branch, out, target = "B", pi.remove_plain(st.s).add_overline(st.s - 1), "POEX"
-        else:
-            branch, out, target = "C", pi.remove_plain(st.s).add_overline(st.s - 1), "PE-copy2"
-    elif source_tag == SOURCE_N_MINUS_2:
-        _require(pi, _SPT1O, n - 2, "T2 source N-2")
-        st = stats(pi)
-        moved = pi.remove_plain(st.s).add_plain(st.s + 1)
-        if st.s % 2 == 0:
-            branch, out, target = "D", moved, "POEX"
-        else:
-            branch, out, target = "E", moved, "PE-copy2"
-    else:
-        raise PreconditionError("T2 source must be N or N-2")
-    flip = _flip(st, out, target)
-    return MapTrace("T2", source_tag, branch, pi, out, target, flip)
+    return _spt1o_map("T2", pi, source_tag, n)
 
 
 def map_t3_odd(pi: OverPartition, n: int) -> MapTrace:
@@ -247,13 +294,11 @@ def map_t3_odd(pi: OverPartition, n: int) -> MapTrace:
     ambiguous = entry.plain >= 1 and entry.over == 1
     base = pi.remove_plain(1)
     if entry.plain >= 1:
-        branch = "odd-plain"
+        branch, target = "odd-plain", "SPT1O-N-2"
         out = base.remove_plain(st.s2).add_plain(st.s2 - 1)
-        target = "SPT1O-N-2"
     else:
-        branch = "odd-overlined"
+        branch, target = "odd-overlined", "SPT1O-N"
         out = base.remove_overline(st.s2).add_plain(st.s2 + 1)
-        target = "SPT1O-N"
     flip = _flip(st, out, target)
     return MapTrace("T3", SOURCE_N, branch, pi, out, target, flip, ambiguous)
 
@@ -262,22 +307,7 @@ def map_t3_even(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
     """Sign-reversing map of even-s elements of spt1o(n) u spt1o(n-2)
     onto poex(n-1): the output's number-of-parts sign is opposite the
     input's parts-above-s sign."""
-    if source_tag == SOURCE_N:
-        _require(pi, _SPT1O, n, "T3 even-s source N")
-    elif source_tag == SOURCE_N_MINUS_2:
-        _require(pi, _SPT1O, n - 2, "T3 even-s source N-2")
-    else:
-        raise PreconditionError("T3 even-s source must be N or N-2")
-    st = stats(pi)
-    if st.s % 2 != 0:
-        raise PreconditionError(
-            f"T3 even-s map needs an even smallest plain part (got {st.s})")
-    if source_tag == SOURCE_N:
-        branch, out = "even-n", pi.remove_plain(st.s).add_overline(st.s - 1)
-    else:
-        branch, out = "even-n-2", pi.remove_plain(st.s).add_plain(st.s + 1)
-    flip = _flip(st, out, "POEX")
-    return MapTrace("T3", source_tag, branch, pi, out, "POEX", flip)
+    return _spt1o_map("T3", pi, source_tag, n)
 
 
 def map_t4(pi: OverPartition, source_tag: str, n: int, variant: str) -> MapTrace:
@@ -286,32 +316,7 @@ def map_t4(pi: OverPartition, source_tag: str, n: int, variant: str) -> MapTrace
     on bo1 with target ce(n-1)."""
     if variant not in ("E", "O"):
         raise PreconditionError("variant must be 'E' or 'O'")
-    fam = _BE1 if variant == "E" else _BO1
-    theorem = "T4e" if variant == "E" else "T4o"
-    if source_tag == SOURCE_N:
-        _require(pi, fam, n, f"{theorem} source N")
-    elif source_tag == SOURCE_N_MINUS_2:
-        _require(pi, fam, n - 2, f"{theorem} source N-2")
-    else:
-        raise PreconditionError(f"{theorem} source must be N or N-2")
-    st = stats(pi)
-    if st.s % 2 == 0:
-        target = "CO" if variant == "E" else "CE"
-        if source_tag == SOURCE_N:
-            branch, out = "CaseI-n", pi.remove_plain(st.s).add_overline(st.s - 1)
-        else:
-            branch, out = "CaseI-n-2", pi.remove_plain(st.s).add_plain(st.s + 1)
-    else:
-        target = "PE"
-        if source_tag == SOURCE_N:
-            if st.s == 1:
-                branch, out = "CaseII-s1", pi.remove_plain(1)
-            else:
-                branch, out = "CaseII-n", pi.remove_plain(st.s).add_overline(st.s - 1)
-        else:
-            branch, out = "CaseII-n-2", pi.remove_plain(st.s).add_plain(st.s + 1)
-    flip = _flip(st, out, target)
-    return MapTrace(theorem, source_tag, branch, pi, out, target, flip)
+    return _spt1o_map("T4" + variant.lower(), pi, source_tag, n)
 
 
 def apply_map(theorem: str, pi: OverPartition, n: int,
@@ -327,8 +332,7 @@ def apply_map(theorem: str, pi: OverPartition, n: int,
     if theorem == "T2":
         return map_t2(pi, source_tag or SOURCE_N, n)
     if theorem == "T3":
-        st = stats(pi)
-        if st.s == 1 and source_tag in (None, SOURCE_N):
+        if stats(pi).s == 1 and source_tag in (None, SOURCE_N):
             return map_t3_odd(pi, n)
         return map_t3_even(pi, source_tag or SOURCE_N, n)
     if theorem in ("T4e", "T4o"):
@@ -336,91 +340,60 @@ def apply_map(theorem: str, pi: OverPartition, n: int,
     raise PreconditionError(f"unknown map {theorem!r}")
 
 
-# ---------------------------------------------------------------------------
-# audits
-# ---------------------------------------------------------------------------
-
-def _audit_setup(theorem: str, n: int):
-    if theorem == "T1":
-        if n < 2:
-            raise ValueError("T1 is audited for n > 1")
-        domain = [(SOURCE_N, _SPT1, n), (SOURCE_N_MINUS_1, _SPT1, n - 1)]
-        components = {"PEX": (_PEX, n)}
-        apply = lambda pi, tag: map_t1(pi, tag, n)
-        out_weight = n
-    elif theorem == "T2":
-        if n < 3:
-            raise ValueError("T2 is audited for n > 2")
-        domain = [(SOURCE_N, _SPT1O, n), (SOURCE_N_MINUS_2, _SPT1O, n - 2)]
-        components = {"PE-copy1": (_PE, n - 1), "PE-copy2": (_PE, n - 1),
-                      "POEX": (_POEX, n - 1)}
-        apply = lambda pi, tag: map_t2(pi, tag, n)
-        out_weight = n - 1
-    elif theorem in ("T4e", "T4o"):
-        if n < 3:
-            raise ValueError(f"{theorem} is audited for n > 2")
-        fam = _BE1 if theorem == "T4e" else _BO1
-        refined = _CO if theorem == "T4e" else _CE
-        domain = [(SOURCE_N, fam, n), (SOURCE_N_MINUS_2, fam, n - 2)]
-        components = {"PE": (_PE, n - 1), refined.id: (refined, n - 1)}
-        apply = lambda pi, tag: map_t4(pi, tag, n, theorem[-1].upper())
-        out_weight = n - 1
-    else:
+def _audit_row(theorem: str, n: int):
+    if theorem not in _AUDITS:
         raise ValueError(f"no bijection audit for {theorem!r} (T3 has its own)")
-    return domain, components, apply, out_weight
+    start = IDENTITY_START[theorem]
+    if n < start:
+        raise ValueError(f"{theorem} is audited for n > {start - 1}")
+    return _AUDITS[theorem]
 
 
-def all_traces(theorem: str, n: int) -> list[MapTrace]:
-    """Every map application of the named identity at weight ``n``, in
-    domain enumeration order.  For T3 this is the matching move on the
-    s=1 sources plus the even-s map on both summands."""
-    if theorem == "T3":
-        if n < 3:
-            raise ValueError("T3 is audited for n > 2")
-        traces = []
-        for pi in family_elements(_SPT1O, n):
-            st = stats(pi)
-            if st.s == 1:
-                traces.append(map_t3_odd(pi, n))
-            elif st.s % 2 == 0:
-                traces.append(map_t3_even(pi, SOURCE_N, n))
-        for pi in family_elements(_SPT1O, n - 2):
-            if stats(pi).s % 2 == 0:
-                traces.append(map_t3_even(pi, SOURCE_N_MINUS_2, n))
-        return traces
-    domain, _, apply, _ = _audit_setup(theorem, n)
-    return [apply(pi, tag)
-            for tag, fam, w in domain
-            for pi in family_elements(fam, w)]
+def _audit_trace(theorem: str, pi: OverPartition, source_tag: str,
+                 n: int) -> MapTrace | None:
+    # T3 maps the N summand's s=1 elements and every even-s element; its
+    # other odd-s elements are the matching's image and get None
+    if theorem != "T3":
+        return apply_map(theorem, pi, n, source_tag)
+    s = stats(pi).s
+    if s == 1 and source_tag == SOURCE_N:
+        return map_t3_odd(pi, n)
+    return map_t3_even(pi, source_tag, n) if s % 2 == 0 else None
 
 
-def verify_bijection(theorem: str, n: int) -> VerificationReport:
-    """Exhaustively apply the named map on its full tagged domain and
-    check membership, weight, injectivity across the tagged codomain,
-    and exact coverage of every component.  For T1 the explicit inverse
-    is also round-tripped in both directions.  Failures are reported,
-    never raised."""
-    domain, components, apply, out_weight = _audit_setup(theorem, n)
+def _audit(theorem: str, n: int) -> tuple[VerificationReport, list[MapTrace]]:
+    # weight, membership and (if asked) sign flip of every image, injectivity
+    # across the tagged codomain, exact coverage of every component
+    fam, low, components, flips = _audit_row(theorem, n)
+    targets = {tag: _TARGETS[tag] for tag in components}
     report = VerificationReport(theorem, n, 0, 0, True, True)
     traces = []
-    for tag, fam, w in domain:
-        elements = family_elements(fam, w)
+    unmapped = {}  # (family, offset) of a summand -> elements left unmapped
+    for tag in (SOURCE_N, low):
+        elements = family_elements(fam, n + _OFFSET[tag])
         report.blocks[f"domain:{tag}"] = len(elements)
-        report.domain_size += len(elements)
+        left = unmapped[fam, _OFFSET[tag]] = []
         for pi in elements:
             try:
-                tr = apply(pi, tag)
-            except Exception as exc:  # pragma: no cover - contract breach
+                tr = _audit_trace(theorem, pi, tag, n)
+            except Exception as exc:  # a broken map is reported, not raised
                 report.problems.append(f"{pi} [{tag}]: {exc}")
                 continue
+            if tr is None:
+                left.append(pi)
+                continue
             traces.append(tr)
-            comp_fam, comp_w = components[tr.target_tag]
-            if tr.output.weight != out_weight or not is_member(tr.output, comp_fam):
+            target = targets.get(tr.target_tag)
+            if (target is None or tr.output.weight != n + target[1]
+                    or not is_member(tr.output, target[0])
+                    or flips and not tr.sign_flip):
                 report.contract_violations.append(tr)
+        report.domain_size += len(elements) - len(left)
     images = [(t.target_tag, t.output) for t in traces]
     report.injective = len(set(images)) == len(images) and not report.problems
-    for comp, (fam, w) in components.items():
-        want = set(family_elements(fam, w))
+    for comp, (comp_fam, offset, _) in targets.items():
+        left = unmapped.get((comp_fam, offset))
+        want = set(family_elements(comp_fam, n + offset) if left is None else left)
         hit = {out for tag, out in images if tag == comp}
         report.blocks[f"image:{comp}"] = len(hit)
         report.blocks[f"codomain:{comp}"] = len(want)
@@ -429,6 +402,28 @@ def verify_bijection(theorem: str, n: int) -> VerificationReport:
             report.surjective = False
             report.problems.append(
                 f"component {comp}: hit {len(hit)} of {len(want)} elements")
+    return report, traces
+
+
+def all_traces(theorem: str, n: int) -> list[MapTrace]:
+    """Every map application of the named identity at weight ``n``, in
+    domain enumeration order.  For T3 this is the matching move on the
+    s=1 sources plus the even-s map on both summands."""
+    fam, low, _, _ = _audit_row(theorem, n)
+    return [tr for tag in (SOURCE_N, low)
+            for pi in family_elements(fam, n + _OFFSET[tag])
+            if (tr := _audit_trace(theorem, pi, tag, n)) is not None]
+
+
+def verify_bijection(theorem: str, n: int) -> VerificationReport:
+    """Exhaustively apply the named map on its full tagged domain and
+    check membership, weight, injectivity across the tagged codomain,
+    and exact coverage of every component.  For T1 the explicit inverse
+    is also round-tripped in both directions.  Failures are reported,
+    never raised."""
+    if theorem == "T3":
+        raise ValueError("no bijection audit for 'T3' (T3 has its own)")
+    report, traces = _audit(theorem, n)
     if theorem == "T1":
         for tr in traces:
             back = inv_t1(tr.output, n)
@@ -458,74 +453,13 @@ def verify_t3(n: int) -> VerificationReport:
     even-s elements); ``codomain_size`` the matched targets plus
     poex(n-1).
     """
-    if n < 3:
-        raise ValueError("T3 is audited for n > 2")
-    report = VerificationReport("T3", n, 0, 0, True, True)
-    tagged = [(SOURCE_N, pi, stats(pi)) for pi in family_elements(_SPT1O, n)]
-    tagged += [(SOURCE_N_MINUS_2, pi, stats(pi))
-               for pi in family_elements(_SPT1O, n - 2)]
-
-    matched_sources = [pi for tag, pi, st in tagged
-                       if tag == SOURCE_N and st.s == 1]
-    odd_targets = {(tag, pi) for tag, pi, st in tagged
-                   if st.s % 2 == 1 and not (tag == SOURCE_N and st.s == 1)}
-    even_elements = [(tag, pi) for tag, pi, st in tagged if st.s % 2 == 0]
-
-    report.blocks["odd-domain"] = len(matched_sources)
-    report.blocks["even-domain"] = len(even_elements)
-
-    images = []
-    for pi in matched_sources:
-        try:
-            tr = map_t3_odd(pi, n)
-        except Exception as exc:  # pragma: no cover - contract breach
-            report.problems.append(f"{pi}: {exc}")
-            continue
-        tag = SOURCE_N if tr.target_tag == "SPT1O-N" else SOURCE_N_MINUS_2
-        w = n if tag == SOURCE_N else n - 2
-        if tr.output.weight != w or not is_member(tr.output, _SPT1O):
-            report.contract_violations.append(tr)
-        if not tr.sign_flip:
-            report.contract_violations.append(tr)
-        images.append((tag, tr.output))
-    report.blocks["odd-image"] = len(set(images))
-    if len(set(images)) != len(images):
-        report.injective = False
-    if set(images) != odd_targets:
-        report.surjective = False
-        report.problems.append(
-            f"matching image hits {len(set(images) & odd_targets)} of "
-            f"{len(odd_targets)} odd-s non-source elements")
-
-    poex = set(family_elements(_POEX, n - 1))
-    even_images = []
-    for tag, pi in even_elements:
-        try:
-            tr = map_t3_even(pi, tag, n)
-        except Exception as exc:  # pragma: no cover - contract breach
-            report.problems.append(f"{pi} [{tag}]: {exc}")
-            continue
-        if tr.output.weight != n - 1 or not is_member(tr.output, _POEX):
-            report.contract_violations.append(tr)
-        if not tr.sign_flip:
-            report.contract_violations.append(tr)
-        even_images.append(tr.output)
-    report.blocks["poex"] = len(poex)
-    if len(set(even_images)) != len(even_images):
-        report.injective = False
-    if set(even_images) != poex:
-        report.surjective = False
-        report.problems.append(
-            f"even-s image hits {len(set(even_images) & poex)} of "
-            f"{len(poex)} poex elements")
-
-    report.domain_size = len(matched_sources) + len(even_elements)
-    report.codomain_size = len(odd_targets) + len(poex)
-
-    # the cancellation sums to the signed identity; cross-check it
-    # against the counting module
-    lhs = count_profile(n)["spt1o-prime"] + count_profile(n - 2)["spt1o-prime"]
-    rhs = -count_profile(n - 1)["poex-prime"]
+    report, traces = _audit("T3", n)
+    b = report.blocks
+    even = sum(tr.target_tag == "POEX" for tr in traces)
+    report.blocks = {"odd-domain": len(traces) - even, "even-domain": even,
+                     "odd-image": b["image:SPT1O-N"] + b["image:SPT1O-N-2"],
+                     "poex": b["codomain:POEX"]}
+    lhs, rhs = identity_sides("T3", n)
     if lhs != rhs:
         report.problems.append(f"signed identity fails: {lhs} != {rhs}")
     return report

@@ -85,6 +85,13 @@ class Entry(NamedTuple):
 _TOKEN = re.compile(r"(\d+)(o?)\Z")
 
 
+def _integral(x) -> int:
+    try:  # ints and bools only: int() would truncate 2.7 and parse '4'
+        return index(x)
+    except TypeError:
+        raise OverpartitionError(f"entry fields must be integers, got {x!r}") from None
+
+
 class OverPartition(tuple):
     """An overpartition in canonical run-length form.
 
@@ -102,8 +109,7 @@ class OverPartition(tuple):
         items = []
         prev = None
         for e in entries:
-            v, p, o = e
-            v, p, o = int(v), int(p), int(o)
+            v, p, o = map(_integral, e)
             if v < 1:
                 raise OverpartitionError(f"part value must be positive, got {v}")
             if p < 0:
@@ -123,7 +129,7 @@ class OverPartition(tuple):
         """Build from expanded ``(value, overlined)`` pairs, in any order."""
         acc: dict[int, list[int]] = {}
         for value, overlined in parts:
-            slot = acc.setdefault(int(value), [0, 0])
+            slot = acc.setdefault(_integral(value), [0, 0])
             if overlined:
                 if slot[1]:
                     raise OverpartitionError(f"duplicate overlined copy of {value}")

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+import overpart.bijections as bijections
 from overpart.core import FamilySpec, SPTKO, parse, stats
 from overpart.bijections import (
     SOURCE_N, SOURCE_N_MINUS_1, SOURCE_N_MINUS_2,
@@ -261,3 +264,49 @@ class TestWeightContracts:
             spto = FamilySpec(SPTKO, 1)
             for pi in family_elements(spto, n):
                 assert map_t2(pi, SOURCE_N, n).output.weight == n - 1
+
+
+class TestAuditFailures:
+    # audits report a broken map instead of raising
+
+    def test_wrong_output_names_the_component(self, monkeypatch):
+        real = bijections.map_t2
+
+        def wrong(pi, source_tag, n):
+            tr = real(pi, source_tag, n)
+            if tr.branch == "A":
+                return dataclasses.replace(tr, output=tr.input)
+            return tr
+
+        monkeypatch.setattr(bijections, "map_t2", wrong)
+        r = verify_bijection("T2", 7)
+        assert not r.ok and not r.surjective
+        assert [v.branch for v in r.contract_violations] == ["A"] * 8
+        assert "component PE-copy1: hit 8 of 8 elements" in r.problems
+
+    def test_missing_sign_flip_is_a_violation(self, monkeypatch):
+        real = bijections.map_t3_even
+
+        def unsigned(pi, source_tag, n):
+            return dataclasses.replace(real(pi, source_tag, n), sign_flip=False)
+
+        monkeypatch.setattr(bijections, "map_t3_even", unsigned)
+        r = verify_t3(9)
+        assert not r.ok
+        assert len(r.contract_violations) == 6
+        assert {v.branch for v in r.contract_violations} == {"even-n", "even-n-2"}
+        assert not r.problems
+
+    def test_raising_map_is_reported(self, monkeypatch):
+        real = bijections.map_t4
+
+        def fails_on_seven(pi, source_tag, n, variant):
+            if str(pi) == "7":
+                raise PreconditionError("broken")
+            return real(pi, source_tag, n, variant)
+
+        monkeypatch.setattr(bijections, "map_t4", fails_on_seven)
+        r = verify_bijection("T4e", 9)
+        assert not r.ok and not r.injective and not r.surjective
+        assert "7 [N-2]: broken" in r.problems
+        assert "component PE: hit 13 of 14 elements" in r.problems

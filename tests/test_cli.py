@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+import overpart.bijections as bijections
 import overpart.cli as cli
 import overpart.qseries as qseries
 from overpart.cli import MAX_ORDER, main
@@ -91,6 +93,30 @@ CaseII-s1\tN\t6,2,1 -> 6,2\tPE
 CaseII-s1\tN\t6,2o,1 -> 6,2o\tPE
 CaseII-s1\tN\t6o,2,1 -> 6o,2\tPE
 CaseII-s1\tN\t6o,2o,1 -> 6o,2o\tPE"""
+
+
+GOLDEN_T4O_9 = """\
+== T4o n=9 ==
+CaseI-n\tN\t5,4 -> 5,3o\tCE
+CaseI-n\tN\t5o,4 -> 5o,3o\tCE
+CaseI-n\tN\t7,2 -> 7,1o\tCE
+CaseI-n\tN\t7o,2 -> 7o,1o\tCE
+CaseI-n-2\tN-2\t5,2 -> 5,3\tCE
+CaseI-n-2\tN-2\t5o,2 -> 5o,3\tCE
+CaseII-n\tN\t6,3 -> 6,2o\tPE
+CaseII-n\tN\t6o,3 -> 6o,2o\tPE
+CaseII-n-2\tN-2\t2,2,2,1 -> 2,2,2,2\tPE
+CaseII-n-2\tN-2\t2o,2,2,1 -> 2o,2,2,2\tPE
+CaseII-n-2\tN-2\t4,3 -> 4,4\tPE
+CaseII-n-2\tN-2\t4o,3 -> 4o,4\tPE
+CaseII-n-2\tN-2\t6,1 -> 6,2\tPE
+CaseII-n-2\tN-2\t6o,1 -> 6o,2\tPE
+CaseII-s1\tN\t4,2,2,1 -> 4,2,2\tPE
+CaseII-s1\tN\t4,2o,2,1 -> 4,2o,2\tPE
+CaseII-s1\tN\t4o,2,2,1 -> 4o,2,2\tPE
+CaseII-s1\tN\t4o,2o,2,1 -> 4o,2o,2\tPE
+CaseII-s1\tN\t8,1 -> 8\tPE
+CaseII-s1\tN\t8o,1 -> 8o\tPE"""
 
 
 def run(capsys, *argv):
@@ -236,11 +262,30 @@ class TestCheckBijection:
         ("T2", "7", GOLDEN_T2_7),
         ("T3", "9", GOLDEN_T3_9),
         ("T4e", "9", GOLDEN_T4E_9),
+        ("T4o", "9", GOLDEN_T4O_9),
     ])
     def test_golden_groupings(self, capsys, theorem, n, golden):
         code, out, _ = run(capsys, "check-bijection", theorem, "--n", n, "--golden")
         assert code == 0
         assert out.strip().splitlines()[1:] == golden.splitlines()
+
+    def test_failed_audit_exits_1_with_problems(self, capsys, monkeypatch):
+        # a map that sends the POEX branches to the wrong component
+        real = bijections.map_t2
+
+        def wrong(pi, source_tag, n):
+            tr = real(pi, source_tag, n)
+            if tr.target_tag == "POEX":
+                return dataclasses.replace(tr, target_tag="PE-copy1")
+            return tr
+
+        monkeypatch.setattr(bijections, "map_t2", wrong)
+        code, out, _ = run(capsys, "check-bijection", "T2", "--n", "7")
+        assert code == 1
+        assert "NOT bijective FAIL" in out
+        assert "  problem: component POEX: hit 0 of 4 elements" in out.splitlines()
+        # the relabelled images have the right weight but are not in pe(6)
+        assert out.count("  violation: ") == 4
 
 
 class TestSeries:

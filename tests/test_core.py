@@ -94,6 +94,22 @@ class TestInvariants:
         with pytest.raises(OverpartitionError):
             OverPartition([(3, 1, 2)])
 
+    @pytest.mark.parametrize("build, fields", [
+        (OverPartition, [(2.7, 1, 0)]),
+        (OverPartition, [("4", "1", 0)]),
+        (OverPartition.from_parts, [(2.5, False)]),
+    ], ids=["float-entry", "str-entry", "float-part"])
+    def test_non_integral_fields_rejected(self, build, fields):
+        # int() would have truncated or parsed these
+        with pytest.raises(OverpartitionError, match="must be integers"):
+            build(fields)
+
+    def test_int_and_bool_fields_accepted(self):
+        pi = OverPartition([(3, True, False), (1, 1, True)])
+        assert pi == parse("3,1o,1")
+        assert all(type(field) is int for entry in pi for field in entry)
+        assert OverPartition.from_parts([(True, True), (2, False)]) == parse("2,1o")
+
     @settings(max_examples=60, deadline=None)
     @given(overpartition_strategy())
     def test_weight_two_ways(self, pi):
