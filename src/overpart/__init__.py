@@ -12,7 +12,7 @@ from .enumeration import (
     count_many, count_profile, derivation_sides, family_elements,
     identity_sides, overpartitions,
 )
-from .qseries import Series, cross_check, family_series, part_factor
+from .qseries import Series, cross_check, family_series
 from .bijections import (
     SOURCE_N, SOURCE_N_MINUS_1, SOURCE_N_MINUS_2, MapTrace,
     PreconditionError, VerificationReport, all_traces, apply_map, inv_t1,

@@ -256,7 +256,9 @@ def _spt1o_map(theorem: str, pi: OverPartition, source_tag: str, n: int) -> MapT
             else "odd" if st.s % 2 else "even")
     if (source_tag, case) not in labels:  # only T3's even-s map leaves cases out
         raise PreconditionError(
-            f"{role} map needs an even smallest plain part (got {st.s})")
+            f"{role} map needs an even smallest plain part (got {st.s}); "
+            f"odd-s elements other than s = 1 in the N summand are images "
+            f"of the T3 matching, not sources")
     branch, target = labels[source_tag, case]
     if case == "one":
         out = pi.remove_plain(1)
@@ -290,15 +292,15 @@ def map_t3_odd(pi: OverPartition, n: int) -> MapTrace:
             f"(got {st.s})")
     if len(pi) == 1:  # the 1 is the only entry
         raise PreconditionError("no part above the 1 to act on")
-    entry = pi.entry_at(st.s2)
-    ambiguous = entry.plain >= 1 and entry.over == 1
+    s2, plain, over = pi[-2]  # the 1 is plain-only, so it is the last entry
+    ambiguous = plain >= 1 and over == 1
     base = pi.remove_plain(1)
-    if entry.plain >= 1:
+    if plain >= 1:
         branch, target = "odd-plain", "SPT1O-N-2"
-        out = base.remove_plain(st.s2).add_plain(st.s2 - 1)
+        out = base.remove_plain(s2).add_plain(s2 - 1)
     else:
         branch, target = "odd-overlined", "SPT1O-N"
-        out = base.remove_overline(st.s2).add_plain(st.s2 + 1)
+        out = base.remove_overline(s2).add_plain(s2 + 1)
     flip = _flip(st, out, target)
     return MapTrace("T3", SOURCE_N, branch, pi, out, target, flip, ambiguous)
 
@@ -400,8 +402,11 @@ def _audit(theorem: str, n: int) -> tuple[VerificationReport, list[MapTrace]]:
         report.codomain_size += len(want)
         if hit != want:
             report.surjective = False
+            strays = sorted(map(str, hit - want))
             report.problems.append(
-                f"component {comp}: hit {len(hit)} of {len(want)} elements")
+                f"component {comp}: hit {len(hit & want)} of {len(want)} elements"
+                + (f"; {len(strays)} images outside it, e.g. {'; '.join(strays[:3])}"
+                   if strays else ""))
     return report, traces
 
 

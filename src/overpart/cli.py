@@ -49,7 +49,7 @@ def _default_order() -> int:
     return DEFAULT_ORDER
 
 
-def _check_order(order: int):
+def _check_cap(order: int):
     if order > MAX_ORDER:
         raise ValueError(f"truncation order {order} is above the cap {MAX_ORDER}")
 
@@ -187,7 +187,7 @@ def cmd_check_bijection(args) -> int:
 
 def cmd_series(args) -> int:
     order = args.order if args.order is not None else _default_order()
-    _check_order(order)
+    _check_cap(order)
     ser = series_for_token(args.family, order, args.k)
     text = "\n".join(f"{i}\t{c}" for i, c in enumerate(ser.coeffs))
     _emit(text, args.out)
@@ -197,7 +197,7 @@ def cmd_series(args) -> int:
 def cmd_selftest(args) -> int:
     _check_n_max(args, 0)
     order = args.order if args.order is not None else max(args.n_max, 1)
-    _check_order(order)
+    _check_cap(order)
     if order < args.n_max:
         raise ValueError("order must be at least n-max")
     mismatches = cross_check(args.n_max, args.k_max, order)

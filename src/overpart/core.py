@@ -77,10 +77,6 @@ class Entry(NamedTuple):
     plain: int
     over: int
 
-    @property
-    def copies(self) -> int:
-        return self.plain + self.over
-
 
 _TOKEN = re.compile(r"(\d+)(o?)\Z")
 
@@ -161,14 +157,6 @@ class OverPartition(tuple):
     @property
     def num_parts(self) -> int:
         return sum(p + o for _, p, o in self)
-
-    def entry_at(self, value: int) -> Entry | None:
-        for e in self:
-            if e.value == value:
-                return e
-            if e.value < value:
-                return None
-        return None
 
     # ---- entry surgery (all return new instances) -------------------
     # each move rebuilds only the entry it changes and shares the rest
@@ -259,56 +247,36 @@ def parse(text: str) -> OverPartition:
 
 
 class Stats(NamedTuple):
-    """Derived statistics of one overpartition.
+    """The smallest-part statistics that the maps and the signed
+    identities read.
 
     ``s`` is the smallest plain part value (None when every part is
-    overlined); ``s_multiplicity`` its number of plain copies.  ``s2``
-    is the smallest part value strictly greater than s (INFINITY when
-    none, None when s is absent) and ``s2_overlined`` says whether the
-    s2-valued entry carries an overlined copy.  ``parts_above_s``
-    counts part copies with value greater than s; when s is absent
-    every part counts.  The two signs are -1 to the power of
-    ``parts_above_s`` and of ``num_parts``.
+    overlined).  ``s2`` is the smallest part value strictly greater
+    than s (INFINITY when none, None when s is absent).  ``sign_spt``
+    is -1 to the power of the number of parts greater than s (of every
+    part when s is absent), and ``sign_parts`` -1 to the power of the
+    number of parts.
     """
 
-    weight: int
-    num_parts: int
     s: int | None
-    s_multiplicity: int
     s2: int | float | None
-    s2_overlined: bool | None
-    parts_above_s: int
     sign_spt: int
     sign_parts: int
 
 
 def stats(pi: OverPartition) -> Stats:
     """Compute all :class:`Stats` fields in one pass."""
-    weight = 0
-    num = 0
+    num = above = 0
     s_idx = -1
-    for i, (v, p, o) in enumerate(pi):
-        c = p + o
-        weight += v * c
-        num += c
-        if p:
-            s_idx = i  # entries are descending, so the last hit is smallest
+    for i, (_, p, o) in enumerate(pi):
+        if p:  # entries are descending, so the last hit is smallest
+            s_idx, above = i, num
+        num += p + o
     sign_parts = -1 if num & 1 else 1
     if s_idx < 0:
-        return Stats(weight, num, None, 0, None, None, num, sign_parts, sign_parts)
-    above = 0
-    for i in range(s_idx):
-        _, p, o = pi[i]
-        above += p + o
-    if s_idx > 0:
-        e2 = pi[s_idx - 1]
-        s2: int | float = e2.value
-        s2_over: bool | None = bool(e2.over)
-    else:
-        s2, s2_over = INFINITY, None
-    entry = pi[s_idx]
-    sign_spt = -1 if above & 1 else 1
-    return Stats(weight, num, entry.value, entry.plain, s2, s2_over, above, sign_spt, sign_parts)
+        return Stats(None, None, sign_parts, sign_parts)
+    s2 = pi[s_idx - 1].value if s_idx else INFINITY
+    return Stats(pi[s_idx].value, s2, -1 if above & 1 else 1, sign_parts)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,11 +13,13 @@ factors exactly as the family definitions read; evaluating at z = -1
 turns the two signed families (SPTKO, POEX) into their even-minus-odd
 refinements.
 
-Products are never formed densely.  ``_times_part_factor`` multiplies a
-coefficient list by one factor in place: it divides by (1 - z*q^j) with
-an ascending running sum, then multiplies by (1 + z*q^j), each a few
-slice-wide integer additions.  One factor costs O(order) additions, so
-a table of suffix products over every part value costs O(order^2).
+A :class:`Series` only holds the result: the truncation order and the
+coefficients of q^0 .. q^order.  Products are never formed densely.
+``_times_part_factor`` multiplies a coefficient list by one factor in
+place: it divides by (1 - z*q^j) with an ascending running sum, then
+multiplies by (1 + z*q^j), each a few slice-wide integer additions.
+One factor costs O(order) additions, so a table of suffix products over
+every part value costs O(order^2).
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from .core import (
 )
 from .enumeration import count_profile, profile_tokens
 
-__all__ = ["Series", "part_factor", "family_series", "cross_check"]
+__all__ = ["Series", "family_series", "cross_check"]
 
 
 @dataclass(frozen=True)
 class Series:
-    """Integer coefficients of q^0 .. q^order; arithmetic truncates."""
+    """Integer coefficients of q^0 .. q^order of a generating series."""
 
     order: int
     coeffs: tuple[int, ...]
@@ -48,45 +50,10 @@ class Series:
         if len(self.coeffs) != self.order + 1:
             raise ValueError("need exactly order+1 coefficients")
 
-    @classmethod
-    def from_list(cls, coeffs, order: int) -> "Series":
-        cs = list(coeffs)[: order + 1]
-        cs += [0] * (order + 1 - len(cs))
-        return cls(order, tuple(cs))
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls.from_list([1], order)
-
     def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
-
-    def _check_order(self, other: "Series"):
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} != {other.order}")
-
-    def __add__(self, other: "Series") -> "Series":
-        self._check_order(other)
-        return Series(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Series") -> "Series":
-        self._check_order(other)
-        return Series(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "Series") -> "Series":
-        self._check_order(other)
-        n = self.order
-        out = [0] * (n + 1)
-        b = other.coeffs
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j in range(n - i + 1):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        return Series(n, tuple(out))
 
 
 def _times_numerator(coeffs: list[int], j: int, z: int) -> None:
@@ -106,21 +73,10 @@ def _times_part_factor(coeffs: list[int], j: int, z: int) -> None:
     _times_numerator(coeffs, j, z)
 
 
-def part_factor(j: int, z: int, order: int) -> Series:
-    """Truncation of (1 + z*q^j)/(1 - z*q^j) = 1 + 2*sum z^m q^(jm)."""
-    if j < 1:
-        raise ValueError("part value must be positive")
-    if z not in (1, -1):
-        raise ValueError("z must be +1 or -1")
-    coeffs = [1] + [0] * order
-    _times_part_factor(coeffs, j, z)
-    return Series(order, tuple(coeffs))
-
-
 @lru_cache(maxsize=16)
 def _suffix_products(order: int, z: int, parity: str) -> tuple[Series, ...]:
-    """prods[s] = product of part_factor(j, z, order) over j > s with j
-    restricted by parity ("all", "odd", or "even").
+    """prods[s] = product of (1 + z*q^j)/(1 - z*q^j) over j > s, truncated
+    at q^order, with j restricted by parity ("all", "odd", or "even").
 
     One running coefficient list is updated in place from j = order down
     to 1, and a snapshot is taken after each factor: O(order) additions

@@ -282,7 +282,9 @@ class TestAuditFailures:
         r = verify_bijection("T2", 7)
         assert not r.ok and not r.surjective
         assert [v.branch for v in r.contract_violations] == ["A"] * 8
-        assert "component PE-copy1: hit 8 of 8 elements" in r.problems
+        # the eight images are the unchanged inputs of weight 7, none in pe(6)
+        assert ("component PE-copy1: hit 0 of 8 elements; 8 images outside it, "
+                "e.g. 2,2,2,1; 2o,2,2,1; 4,2,1") in r.problems
 
     def test_missing_sign_flip_is_a_violation(self, monkeypatch):
         real = bijections.map_t3_even

@@ -240,6 +240,19 @@ class TestMap:
         assert run(capsys, "map", "T1", "--input", "2x", "--source", "N",
                    "--n", "6")[0] == 2
 
+    def test_t3_odd_s_is_a_matching_image(self, capsys):
+        # a member of spt1o(7) with odd s > 1 is hit by the matching, not mapped
+        code, out, err = run(capsys, "map", "T3", "--input", "4,3", "--n", "7")
+        assert (code, out) == (3, "")
+        assert "got 3" in err
+        assert "are images of the T3 matching, not sources" in err
+
+    def test_t3_non_member_keeps_membership_message(self, capsys):
+        code, out, err = run(capsys, "map", "T3", "--input", "5,3", "--n", "8")
+        assert (code, out) == (3, "")
+        assert err == ("error: T3 even-s source N: 5,3 is not in spt1o(8): part 5 "
+                       "has the same parity as the smallest plain part 3\n")
+
 
 class TestCheckBijection:
     def test_t4e_single(self, capsys):
@@ -338,7 +351,7 @@ class TestSeries:
 
         def stub(*args):
             seen.append(args)
-            return Series.one(1) if engine == "series_for_token" else []
+            return Series(1, (1, 0)) if engine == "series_for_token" else []
 
         monkeypatch.setattr(cli, engine, stub)
         code, _, err = run(capsys, *argv, "--order", str(MAX_ORDER))

@@ -119,18 +119,27 @@ class TestInvariants:
         assert pi.num_parts == sum(1 for _ in pi.parts())
 
 
+def stats_reference(pi):
+    """s, s2 and the two signs, read over the expanded parts."""
+    parts = list(pi.parts())
+    plain = [v for v, overlined in parts if not overlined]
+    sign_parts = (-1) ** len(parts)
+    if not plain:
+        return None, None, sign_parts, sign_parts
+    s = min(plain)
+    s2 = min((v for v, _ in parts if v > s), default=INFINITY)
+    return s, s2, (-1) ** sum(v > s for v, _ in parts), sign_parts
+
+
 class TestStats:
     def test_five_one(self):
         st_ = stats(parse("5,1"))
-        assert (st_.s, st_.s2, st_.parts_above_s, st_.sign_spt) == (1, 5, 1, -1)
+        assert st_ == (1, 5, -1, 1)
 
     def test_overline_run(self):
         st_ = stats(parse("2o,2,2,2,1"))
-        assert st_.s == 1
-        assert st_.s_multiplicity == 1
-        assert st_.num_parts == 5
-        assert st_.parts_above_s == 4
-        assert st_.sign_spt == 1
+        assert (st_.s, st_.s2) == (1, 2)
+        assert (st_.sign_spt, st_.sign_parts) == (1, -1)
 
     def test_all_overlined(self):
         st_ = stats(parse("5o"))
@@ -144,17 +153,23 @@ class TestStats:
         assert math.isinf(st_.s2)
 
     def test_s2_overline_flag(self):
-        assert stats(parse("6,2o,1")).s2_overlined is True
-        assert stats(parse("4,2o,2,1")).s2_overlined is True
-        assert stats(parse("8,1")).s2_overlined is False
+        # s2 is the next value up, whether that entry is overlined or plain
+        assert stats(parse("6,2o,1")).s2 == 2
+        assert stats(parse("4,2o,2,1")).s2 == 2
+        assert stats(parse("8,1")).s2 == 8
+        assert stats(parse("3,2,1o")).s2 == 3
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=200, deadline=None)
+    @given(overpartition_strategy())
+    def test_smallest_parts(self, pi):
+        st_ = stats(pi)
+        assert (st_.s, st_.s2) == stats_reference(pi)[:2]
+
+    @settings(max_examples=200, deadline=None)
     @given(overpartition_strategy())
     def test_sign_consistency(self, pi):
         st_ = stats(pi)
-        assert st_.sign_spt * st_.sign_spt == 1
-        assert (st_.sign_spt == 1) == (st_.parts_above_s % 2 == 0)
-        assert (st_.sign_parts == 1) == (st_.num_parts % 2 == 0)
+        assert (st_.sign_spt, st_.sign_parts) == stats_reference(pi)[2:]
 
 
 def readme_member(pi, fid, k):
@@ -290,11 +305,6 @@ class TestSurgery:
                     assert type(out) is OverPartition
                     assert out == OverPartition(list(out)), (str(pi), str(out))
                     assert all(type(e) is Entry for e in out)
-
-    def test_entry_at(self):
-        pi = parse("4o,2,2,1")
-        assert pi.entry_at(2) == Entry(2, 2, 0)
-        assert pi.entry_at(3) is None
 
 
 class TestFamilySpec:
