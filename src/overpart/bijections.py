@@ -397,14 +397,14 @@ def _audit(theorem: str, n: int) -> tuple[VerificationReport, list[MapTrace]]:
         left = unmapped.get((comp_fam, offset))
         want = set(family_elements(comp_fam, n + offset) if left is None else left)
         hit = {out for tag, out in images if tag == comp}
-        report.blocks[f"image:{comp}"] = len(hit)
+        report.blocks[f"image:{comp}"] = matched = len(hit & want)  # strays excluded
         report.blocks[f"codomain:{comp}"] = len(want)
         report.codomain_size += len(want)
         if hit != want:
             report.surjective = False
             strays = sorted(map(str, hit - want))
             report.problems.append(
-                f"component {comp}: hit {len(hit & want)} of {len(want)} elements"
+                f"component {comp}: hit {matched} of {len(want)} elements"
                 + (f"; {len(strays)} images outside it, e.g. {'; '.join(strays[:3])}"
                    if strays else ""))
     return report, traces
@@ -420,26 +420,65 @@ def all_traces(theorem: str, n: int) -> list[MapTrace]:
             if (tr := _audit_trace(theorem, pi, tag, n)) is not None]
 
 
+def _invert(report: VerificationReport, mu: OverPartition, n: int,
+            tr: MapTrace | None) -> tuple[OverPartition, str] | None:
+    # inv_t1(mu) when its forward image is still to be checked, else None:
+    # a failure is reported, and an inverse that comes back to the input of
+    # the trace onto mu has that trace's output, mu, as its forward image
+    try:
+        back = inv_t1(mu, n)
+    except Exception as exc:  # a broken inverse is reported, not raised
+        report.problems.append(f"inverse({mu}): {exc}")
+        return None
+    if tr is None:
+        return back
+    if back == (tr.input, tr.source_tag):
+        return None
+    report.problems.append(
+        f"inverse mismatch: {tr.output} -> {back}, expected "
+        f"({tr.input}, {tr.source_tag})")
+    return back
+
+
+def _t1_round_trip(report: VerificationReport, traces: list[MapTrace], n: int) -> None:
+    # inverse(forward(pi)) == pi for every trace and forward(inverse(mu)) == mu
+    # for every mu in pex(n), inverting each element once; when the inverse
+    # of mu is the input of the trace onto mu, that trace is its forward image
+    by_output, rest = {}, []
+    for tr in traces:
+        if by_output.setdefault(tr.output, tr) is not tr:
+            rest.append(tr)  # a second trace onto the same output
+    for mu in family_elements(_PEX, n):
+        tr = by_output.pop(mu, None)
+        back = _invert(report, mu, n, tr)
+        if back is None:
+            continue
+        try:
+            fwd = map_t1(*back, n)
+        except Exception as exc:  # a broken map is reported, not raised
+            report.problems.append(f"forward(inverse({mu})): {exc}")
+            continue
+        if fwd.output != mu:
+            report.problems.append(f"forward(inverse({mu})) != {mu}")
+    for tr in (*by_output.values(), *rest):  # outputs outside pex(n), collisions
+        _invert(report, tr.output, n, tr)
+
+
 def verify_bijection(theorem: str, n: int) -> VerificationReport:
     """Exhaustively apply the named map on its full tagged domain and
     check membership, weight, injectivity across the tagged codomain,
     and exact coverage of every component.  For T1 the explicit inverse
-    is also round-tripped in both directions.  Failures are reported,
-    never raised."""
+    is also round-tripped in both directions: each pex(n) element is
+    inverted once, and forward images are read from the audit's traces
+    (the map runs again only where an element's inverse is not the input
+    of the trace onto it, which only a failing audit has).
+    Failures, including exceptions from the maps, are reported, never
+    raised."""
     if theorem == "T3":
         raise ValueError("no bijection audit for 'T3' (T3 has its own)")
     report, traces = _audit(theorem, n)
     if theorem == "T1":
-        for tr in traces:
-            back = inv_t1(tr.output, n)
-            if back != (tr.input, tr.source_tag):
-                report.problems.append(
-                    f"inverse mismatch: {tr.output} -> {back}, expected "
-                    f"({tr.input}, {tr.source_tag})")
-        for mu in family_elements(_PEX, n):
-            pre, tag = inv_t1(mu, n)
-            if map_t1(pre, tag, n).output != mu:
-                report.problems.append(f"forward(inverse({mu})) != {mu}")
+        _t1_round_trip(report, traces, n)
     return report
 
 

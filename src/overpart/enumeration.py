@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import (
@@ -99,10 +100,15 @@ def family_elements(fam: FamilySpec, n: int) -> tuple[OverPartition, ...]:
 
 @lru_cache(maxsize=None)
 def _token_counts(n: int) -> Counter:
-    # one enumeration pass, then the family table once per distinct
-    # signature; a parametric family can only hold at k = sig.k
+    # the signatures of weight n, from the annotated cache when it holds n
+    # (an audit has just enumerated it), else from one pass over the raw
+    # runs; then the family table once per distinct signature; a parametric
+    # family can only hold at k = sig.k
+    cached = _annotated_cache.get(n)
+    sigs = (map(itemgetter(1), cached) if cached is not None
+            else map(signature, _entries(n)))
     counts = Counter()
-    for sig, mult in Counter(map(signature, _entries(n))).items():
+    for sig, mult in Counter(sigs).items():
         for fid in FAMILY_IDS:
             fam = FamilySpec(fid, max(sig.k, 1))
             if member(sig, fam):

@@ -312,3 +312,70 @@ class TestAuditFailures:
         assert not r.ok and not r.injective and not r.surjective
         assert "7 [N-2]: broken" in r.problems
         assert "component PE: hit 13 of 14 elements" in r.problems
+
+    def test_image_block_counts_only_the_component(self, monkeypatch):
+        real = bijections.map_t2
+
+        def wrong(pi, source_tag, n):
+            tr = real(pi, source_tag, n)
+            if tr.branch == "A":
+                return dataclasses.replace(tr, output=tr.input)
+            return tr
+
+        monkeypatch.setattr(bijections, "map_t2", wrong)
+        r = verify_bijection("T2", 7)
+        # all eight branch-A images lie outside pe(6), so none counts
+        assert r.blocks["image:PE-copy1"] == 0
+        assert r.blocks["codomain:PE-copy1"] == 8
+
+    def test_t1_images_outside_pex_are_reported(self, monkeypatch):
+        real = bijections.map_t1
+
+        def heavy(pi, source_tag, n):
+            tr = real(pi, source_tag, n)
+            if tr.branch == "f3":
+                return dataclasses.replace(tr, output=tr.output.add_plain(1))
+            return tr
+
+        monkeypatch.setattr(bijections, "map_t1", heavy)
+        r = verify_bijection("T1", 8)
+        assert not r.ok and not r.surjective
+        assert {v.branch for v in r.contract_violations} == {"f3"}
+        assert "inverse(8o,1): T1 inverse: 8o,1 has weight 9, expected 8" in r.problems
+        assert "forward(inverse(8o)) != 8o" in r.problems
+
+    def test_t1_swapped_inverse_tag_is_reported(self, monkeypatch):
+        real = bijections.inv_t1
+        other = {SOURCE_N: SOURCE_N_MINUS_1, SOURCE_N_MINUS_1: SOURCE_N}
+
+        def swapped(mu, n):
+            pre, tag = real(mu, n)
+            return pre, other[tag]
+
+        monkeypatch.setattr(bijections, "inv_t1", swapped)
+        r = verify_bijection("T1", 8)
+        assert not r.ok and not r.contract_violations
+        assert any(p.startswith("inverse mismatch: 6,2o -> ") for p in r.problems)
+        assert ("forward(inverse(6,2o)): T1 source N: 6,1 has weight 7, "
+                "expected 8") in r.problems
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_t1_round_trip_inverts_each_pex_element_once(self, monkeypatch, n):
+        calls = {"map_t1": 0, "inv_t1": 0}
+
+        def counted(name):
+            real = getattr(bijections, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bijections, name, counted(name))
+        assert verify_bijection("T1", n).ok
+        spt1 = FamilySpec("SPTK", 1)
+        assert calls == {
+            "map_t1": len(family_elements(spt1, n)) + len(family_elements(spt1, n - 1)),
+            "inv_t1": len(family_elements(FamilySpec("PEX"), n)),
+        }

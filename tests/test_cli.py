@@ -300,6 +300,24 @@ class TestCheckBijection:
         # the relabelled images have the right weight but are not in pe(6)
         assert out.count("  violation: ") == 4
 
+    def test_failed_t1_round_trip_exits_1_with_problems(self, capsys, monkeypatch):
+        # f3 images one part heavier leave pex(8), so inv_t1 rejects them
+        real = bijections.map_t1
+
+        def heavy(pi, source_tag, n):
+            tr = real(pi, source_tag, n)
+            if tr.branch == "f3":
+                return dataclasses.replace(tr, output=tr.output.add_plain(1))
+            return tr
+
+        monkeypatch.setattr(bijections, "map_t1", heavy)
+        code, out, err = run(capsys, "check-bijection", "T1", "--n", "8")
+        assert (code, err) == (1, "")
+        assert "NOT bijective FAIL" in out
+        lines = out.splitlines()
+        assert "  problem: inverse(8o,1): T1 inverse: 8o,1 has weight 9, expected 8" in lines
+        assert out.count("  violation: ") == 7
+
 
 class TestSeries:
     def test_coefficient_lines(self, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+import overpart.enumeration as enumeration
 from overpart.core import (
     BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SPTK, SPTKO, Entry, FamilySpec,
     OverPartition, parse, parse_family_token,
@@ -125,6 +126,25 @@ class TestCounts:
         prof = count_profile(8, 1)
         assert got == [prof["spt1"], prof["pex"],
                        prof["spt1o-prime"], prof["poex-prime"]]
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_token_counts_read_the_annotated_cache(self, monkeypatch, n):
+        def clear_caches():
+            enumeration._token_counts.cache_clear()
+            enumeration.family_elements.cache_clear()
+            enumeration._annotated_cache.clear()
+
+        clear_caches()
+        from_runs = enumeration._token_counts(n)
+        clear_caches()
+        family_elements(FamilySpec(PBAR), n)  # fills the annotated cache at n
+        assert n in enumeration._annotated_cache
+
+        def no_enumeration(*args):
+            raise AssertionError("enumerated a weight the cache holds")
+
+        monkeypatch.setattr(enumeration, "_entries", no_enumeration)
+        assert enumeration._token_counts(n) == from_runs
 
 
 class TestSignedCounts:
