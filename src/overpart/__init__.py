@@ -4,7 +4,7 @@ identities."""
 
 from .core import (
     BEK, BOK, CE, CO, FAMILY_IDS, INFINITY, PBAR, PE, PEX, POEX, SPTK, SPTKO,
-    CollisionError, Entry, FamilySpec, OverPartition, OverpartitionError,
+    CollisionError, FamilySpec, OverPartition, OverpartitionError,
     ParseError, Signature, Stats, is_member, member, parse,
     parse_family_token, signature, stats, why_not_member,
 )

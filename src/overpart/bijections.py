@@ -435,7 +435,7 @@ def _invert(report: VerificationReport, mu: OverPartition, n: int,
     if back == (tr.input, tr.source_tag):
         return None
     report.problems.append(
-        f"inverse mismatch: {tr.output} -> {back}, expected "
+        f"inverse mismatch: {tr.output} -> ({back[0]}, {back[1]}), expected "
         f"({tr.input}, {tr.source_tag})")
     return back
 

@@ -3,8 +3,8 @@ part statistics, and membership tests for the counted families.
 
 An overpartition is a partition in which the first occurrence of each
 part size may additionally be overlined.  The canonical form used
-throughout is a run-length encoding: a sequence of ``Entry(value,
-plain, over)`` triples with values strictly decreasing, ``plain + over
+throughout is a run-length encoding: a sequence of ``(value, plain,
+over)`` int triples with values strictly decreasing, ``plain + over
 >= 1``, and ``over`` either 0 or 1 (at most one overlined copy per
 value).  The empty sequence is the unique overpartition of 0.
 
@@ -35,7 +35,7 @@ __all__ = [
     "PBAR", "SPTK", "SPTKO", "PE", "PEX", "POEX", "BEK", "BOK", "CE", "CO",
     "FAMILY_IDS", "PARAMETRIC_FAMILIES",
     "OverpartitionError", "ParseError", "CollisionError",
-    "Entry", "OverPartition", "Stats", "FamilySpec", "Signature", "Family",
+    "OverPartition", "Stats", "FamilySpec", "Signature", "Family",
     "FAMILY_TABLE", "SIGNED_REFINEMENTS",
     "parse", "stats", "signature", "member", "is_member",
     "why_not_member", "parse_family_token",
@@ -69,15 +69,6 @@ class CollisionError(OverpartitionError):
     """Attempt to overline a value that is already overlined."""
 
 
-class Entry(NamedTuple):
-    """One run of equal parts: `plain` ordinary copies plus an optional
-    overlined copy (`over` is 0 or 1)."""
-
-    value: int
-    plain: int
-    over: int
-
-
 _TOKEN = re.compile(r"(\d+)(o?)\Z")
 
 
@@ -91,8 +82,12 @@ def _integral(x) -> int:
 class OverPartition(tuple):
     """An overpartition in canonical run-length form.
 
-    Instances are tuples of :class:`Entry` with strictly decreasing
-    values, so they are immutable, hashable, and cheaply comparable.
+    Instances are tuples of ``(value, plain, over)`` int triples, one
+    per run of equal parts (``plain`` ordinary copies plus an optional
+    overlined copy, ``over`` 0 or 1), with strictly decreasing values,
+    so they are immutable, hashable, and cheaply comparable.  The
+    triples are exact tuples of ints, which the garbage collector stops
+    tracking, so cached listings add nothing to its collections.
     Construct from entries (validated), from expanded parts with
     :meth:`from_parts`, or from a literal with :func:`parse`.
     Enumeration and entry surgery skip revalidation, because their
@@ -117,7 +112,7 @@ class OverPartition(tuple):
             if prev is not None and v >= prev:
                 raise OverpartitionError("entry values must be strictly decreasing")
             prev = v
-            items.append(Entry(v, p, o))
+            items.append((v, p, o))
         return tuple.__new__(cls, items)
 
     @classmethod
@@ -167,10 +162,10 @@ class OverPartition(tuple):
             raise OverpartitionError(f"part value must be positive, got {value}")
         for i, (v, p, o) in enumerate(self):
             if v == value:
-                return _canonical(self[:i] + (Entry(v, p + 1, o),) + self[i + 1:])
+                return _canonical(self[:i] + ((v, p + 1, o),) + self[i + 1:])
             if v < value:
-                return _canonical(self[:i] + (Entry(value, 1, 0),) + self[i:])
-        return _canonical(self + (Entry(value, 1, 0),))
+                return _canonical(self[:i] + ((value, 1, 0),) + self[i:])
+        return _canonical(self + ((value, 1, 0),))
 
     def remove_plain(self, value: int) -> "OverPartition":
         for i, (v, p, o) in enumerate(self):
@@ -179,7 +174,7 @@ class OverPartition(tuple):
                     raise OverpartitionError(f"no plain copy of {value} to remove")
                 if p + o == 1:
                     return _canonical(self[:i] + self[i + 1:])
-                return _canonical(self[:i] + (Entry(v, p - 1, o),) + self[i + 1:])
+                return _canonical(self[:i] + ((v, p - 1, o),) + self[i + 1:])
         raise OverpartitionError(f"no part of value {value}")
 
     def add_overline(self, value: int) -> "OverPartition":
@@ -190,10 +185,10 @@ class OverPartition(tuple):
             if v == value:
                 if o:
                     raise CollisionError(f"value {value} is already overlined")
-                return _canonical(self[:i] + (Entry(v, p, 1),) + self[i + 1:])
+                return _canonical(self[:i] + ((v, p, 1),) + self[i + 1:])
             if v < value:
-                return _canonical(self[:i] + (Entry(value, 0, 1),) + self[i:])
-        return _canonical(self + (Entry(value, 0, 1),))
+                return _canonical(self[:i] + ((value, 0, 1),) + self[i:])
+        return _canonical(self + ((value, 0, 1),))
 
     def remove_overline(self, value: int) -> "OverPartition":
         for i, (v, p, o) in enumerate(self):
@@ -202,7 +197,7 @@ class OverPartition(tuple):
                     raise OverpartitionError(f"no overlined copy of {value} to remove")
                 if p == 0:
                     return _canonical(self[:i] + self[i + 1:])
-                return _canonical(self[:i] + (Entry(v, p, 0),) + self[i + 1:])
+                return _canonical(self[:i] + ((v, p, 0),) + self[i + 1:])
         raise OverpartitionError(f"no part of value {value}")
 
     def __str__(self) -> str:
@@ -213,7 +208,7 @@ class OverPartition(tuple):
 
 
 def _canonical(entries) -> OverPartition:
-    """Wrap a sequence of :class:`Entry` that is canonical by construction,
+    """Wrap a sequence of entry triples that is canonical by construction,
     without revalidation; outside input goes through ``OverPartition``."""
     return tuple.__new__(OverPartition, entries)
 
@@ -275,8 +270,8 @@ def stats(pi: OverPartition) -> Stats:
     sign_parts = -1 if num & 1 else 1
     if s_idx < 0:
         return Stats(None, None, sign_parts, sign_parts)
-    s2 = pi[s_idx - 1].value if s_idx else INFINITY
-    return Stats(pi[s_idx].value, s2, -1 if above & 1 else 1, sign_parts)
+    s2 = pi[s_idx - 1][0] if s_idx else INFINITY
+    return Stats(pi[s_idx][0], s2, -1 if above & 1 else 1, sign_parts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,15 +370,15 @@ def _first_value(entries, parity: int) -> int:
 
 
 def _why_not_k(pi: OverPartition, k: int) -> str:
-    plain = [e for e in pi if e.plain]
+    plain = [(v, p) for v, p, _ in pi if p]
     if not plain:
         return "every part is overlined, so no smallest plain part exists"
-    s, copies, _ = plain[-1]
+    s, copies = plain[-1]
     if copies != k:
         return f"smallest plain part {s} appears {copies} time(s); must appear exactly {k}"
-    if pi[-1].value == s:
+    if pi[-1][0] == s:
         return f"the smallest plain part {s} also carries an overline"
-    return f"overlined part {pi[-1].value} is not greater than the smallest plain part {s}"
+    return f"overlined part {pi[-1][0]} is not greater than the smallest plain part {s}"
 
 
 FAMILY_TABLE = {
@@ -400,13 +395,13 @@ FAMILY_TABLE = {
                lambda pi, k: f"number of parts is {pi.num_parts} (even); must be odd"),
     SPTK: Family("spt{k}", PBAR, lambda sig, k: sig.k == k, _why_not_k),
     SPTKO: Family("spt{k}o", SPTK, lambda sig, k: sig.opposite,
-                  lambda pi, k: (f"part {_first_value(pi[:-1], pi[-1].value & 1)} has the "
-                                 f"same parity as the smallest plain part {pi[-1].value}")),
+                  lambda pi, k: (f"part {_first_value(pi[:-1], pi[-1][0] & 1)} has the "
+                                 f"same parity as the smallest plain part {pi[-1][0]}")),
     # k of the num_parts parts are copies of s, so num_parts - k lie above s
     BEK: Family("be{k}", SPTKO, lambda sig, k: (sig.parity + k) % 2 == 0,
-                lambda pi, k: f"{pi.num_parts - k} parts above {pi[-1].value} (odd); must be even"),
+                lambda pi, k: f"{pi.num_parts - k} parts above {pi[-1][0]} (odd); must be even"),
     BOK: Family("bo{k}", SPTKO, lambda sig, k: (sig.parity + k) % 2 == 1,
-                lambda pi, k: f"{pi.num_parts - k} parts above {pi[-1].value} (even); must be odd"),
+                lambda pi, k: f"{pi.num_parts - k} parts above {pi[-1][0]} (even); must be odd"),
 }
 
 # families whose definition uses the multiplicity parameter k

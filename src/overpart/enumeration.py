@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import (
-    FAMILY_IDS, SIGNED_REFINEMENTS, Entry, FamilySpec, OverPartition, Signature,
+    FAMILY_IDS, SIGNED_REFINEMENTS, FamilySpec, OverPartition, Signature,
     _canonical, member, signature,
 )
 
@@ -42,9 +41,13 @@ __all__ = [
 ]
 
 # annotated enumerations are memoized up to this weight; audits and
-# repeated family lookups stay below it, one-shot sweeps above it stream
+# repeated family lookups stay below it, one-shot sweeps above it stream.
+# _annotated_cache[n] holds the overpartitions of n in enumeration order
+# and _signatures[n] their signatures, aligned by index; both are filled
+# together, so n in _annotated_cache means _signatures[n] is current
 _CACHE_LIMIT = 25
-_annotated_cache: dict[int, tuple] = {}
+_annotated_cache: dict[int, tuple[OverPartition, ...]] = {}
+_signatures: dict[int, tuple[Signature, ...]] = {}
 
 
 def _runs(remaining: int, cap: int):
@@ -69,17 +72,19 @@ def _entries(n: int):
 
 def overpartitions(n: int) -> Iterator[OverPartition]:
     """Yield every overpartition of ``n`` once, in the documented order."""
-    # the runs are canonical by construction, so no entry is revalidated
-    new = tuple.__new__
-    return (_canonical([new(Entry, e) for e in entries]) for entries in _entries(n))
+    # the runs are canonical by construction, so nothing is revalidated,
+    # and each object holds the run tuples _runs shares across its tails
+    return map(_canonical, _entries(n))
 
 
 def _annotated(n: int) -> Iterable[tuple[OverPartition, Signature]]:
     if n > _CACHE_LIMIT:
         return ((pi, signature(pi)) for pi in overpartitions(n))
     if n not in _annotated_cache:
-        _annotated_cache[n] = tuple((pi, signature(pi)) for pi in overpartitions(n))
-    return _annotated_cache[n]
+        pis = tuple(overpartitions(n))
+        _signatures[n] = tuple(map(signature, pis))
+        _annotated_cache[n] = pis
+    return zip(_annotated_cache[n], _signatures[n])
 
 
 @lru_cache(maxsize=None)
@@ -104,9 +109,7 @@ def _token_counts(n: int) -> Counter:
     # (an audit has just enumerated it), else from one pass over the raw
     # runs; then the family table once per distinct signature; a parametric
     # family can only hold at k = sig.k
-    cached = _annotated_cache.get(n)
-    sigs = (map(itemgetter(1), cached) if cached is not None
-            else map(signature, _entries(n)))
+    sigs = _signatures[n] if n in _annotated_cache else map(signature, _entries(n))
     counts = Counter()
     for sig, mult in Counter(sigs).items():
         for fid in FAMILY_IDS:

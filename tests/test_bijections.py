@@ -1,15 +1,17 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
 import overpart.bijections as bijections
+import overpart.enumeration as enumeration
 from overpart.core import FamilySpec, SPTKO, parse, stats
 from overpart.bijections import (
     SOURCE_N, SOURCE_N_MINUS_1, SOURCE_N_MINUS_2,
     PreconditionError, apply_map, inv_t1, map_t1, map_t2, map_t3_even,
     map_t3_odd, map_t4, verify_bijection, verify_t3,
 )
-from overpart.enumeration import family_elements
+from overpart.enumeration import IDENTITY_START, family_elements
 
 
 class TestMapT1:
@@ -359,6 +361,18 @@ class TestAuditFailures:
         assert ("forward(inverse(6,2o)): T1 source N: 6,1 has weight 7, "
                 "expected 8") in r.problems
 
+    def test_t1_inverse_mismatch_prints_both_pairs_alike(self, monkeypatch):
+        real = bijections.inv_t1
+        other = {SOURCE_N: SOURCE_N_MINUS_1, SOURCE_N_MINUS_1: SOURCE_N}
+
+        def swapped(mu, n):
+            pre, tag = real(mu, n)
+            return pre, other[tag]
+
+        monkeypatch.setattr(bijections, "inv_t1", swapped)
+        r = verify_bijection("T1", 8)
+        assert "inverse mismatch: 6,2o -> (6,1, N), expected (6,1, N-1)" in r.problems
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_t1_round_trip_inverts_each_pex_element_once(self, monkeypatch, n):
         calls = {"map_t1": 0, "inv_t1": 0}
@@ -379,3 +393,28 @@ class TestAuditFailures:
             "map_t1": len(family_elements(spt1, n)) + len(family_elements(spt1, n - 1)),
             "inv_t1": len(family_elements(FamilySpec("PEX"), n)),
         }
+
+
+class TestAuditMemory:
+    # cold caches, then T1/T2/T4e/T4o and T3 audited at every n <= 20:
+    # the traced peak was 11.5 MiB with namedtuple entries and (pi, sig)
+    # pairs in the annotated cache, 4.5 MiB with int-triple entries and
+    # signatures held aligned beside the cached overpartitions
+    PEAK_MIB = 7
+
+    def test_audit_sweep_to_20_stays_under_bound(self):
+        enumeration._annotated_cache.clear()
+        enumeration.family_elements.cache_clear()
+        enumeration._token_counts.cache_clear()
+        tracemalloc.start()
+        try:
+            for n in range(2, 21):
+                for theorem in ("T1", "T2", "T4e", "T4o"):
+                    if n >= IDENTITY_START[theorem]:
+                        assert verify_bijection(theorem, n).ok, (theorem, n)
+                if n >= IDENTITY_START["T3"]:
+                    assert verify_t3(n).ok, n
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_MIB * 2**20, f"{peak / 2**20:.1f} MiB"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from overpart.core import (
     BEK, BOK, CE, CO, FAMILY_IDS, INFINITY, PBAR, PE, PEX, POEX, SPTK, SPTKO,
-    CollisionError, Entry, FamilySpec, OverPartition, OverpartitionError,
+    CollisionError, FamilySpec, OverPartition, OverpartitionError,
     ParseError, is_member, parse, parse_family_token, stats, why_not_member,
 )
 from overpart.enumeration import (
@@ -292,7 +292,7 @@ class TestSurgery:
     def test_trusted_results_match_validated_rebuild(self):
         # every legal move on every overpartition of n <= 12: surgery skips
         # revalidation, so each result must survive the validating
-        # constructor unchanged and hold only Entry instances
+        # constructor unchanged and hold only exact (int, int, int) tuples
         for n in range(13):
             for pi in overpartitions(n):
                 overlined = {v for v, _, o in pi if o}
@@ -304,7 +304,8 @@ class TestSurgery:
                 for out in results:
                     assert type(out) is OverPartition
                     assert out == OverPartition(list(out)), (str(pi), str(out))
-                    assert all(type(e) is Entry for e in out)
+                    assert all(type(e) is tuple and len(e) == 3
+                               and all(type(x) is int for x in e) for e in out)
 
 
 class TestFamilySpec:

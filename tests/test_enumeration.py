@@ -1,9 +1,11 @@
+import gc
+
 import pytest
 
 import overpart.enumeration as enumeration
 from overpart.core import (
-    BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SPTK, SPTKO, Entry, FamilySpec,
-    OverPartition, parse, parse_family_token,
+    BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SPTK, SPTKO, FamilySpec,
+    OverPartition, parse, parse_family_token, signature,
 )
 from overpart.enumeration import (
     IDENTITY_START, count_many, count_profile, derivation_sides,
@@ -46,7 +48,8 @@ class TestEnumeration:
             for pi in overpartitions(n):
                 assert type(pi) is OverPartition
                 assert pi == OverPartition(list(pi)), str(pi)
-                assert all(type(e) is Entry for e in pi)
+                assert all(type(e) is tuple and len(e) == 3
+                           and all(type(x) is int for x in e) for e in pi)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -202,3 +205,31 @@ class TestIdentities:
             assert d["difference"][0] == d["difference"][1]
             assert d["sum"] == identity_sides("T2", n)
             assert d["difference"][0] == identity_sides("T3", n)[0]
+
+
+# pbar(n) for n = 0..14 (OEIS A015128)
+PBAR_0_14 = [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232, 344, 504, 728, 1040]
+
+
+class TestCacheLayout:
+    def test_entries_are_not_gc_tracked(self):
+        # exact tuples of ints drop out of the collector's lists at the
+        # next collection; a tuple subclass entry would stay tracked
+        listed = list(overpartitions(12))
+        members = family_elements(FamilySpec(SPTKO, 1), 14)
+        gc.collect()
+        assert listed and members
+        assert not any(gc.is_tracked(e) for pi in (*listed, *members) for e in pi)
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_annotated_cache_aligns_signatures(self, n):
+        enumeration._token_counts.cache_clear()
+        enumeration.family_elements.cache_clear()
+        enumeration._annotated_cache.clear()
+        assert len(family_elements(FamilySpec(PBAR), n)) == PBAR_0_14[n]
+        cached = enumeration._annotated_cache[n]
+        assert len(cached) == PBAR_0_14[n]
+        assert cached == tuple(overpartitions(n))
+        sigs = enumeration._signatures[n]
+        assert len(sigs) == len(cached)
+        assert all(sig == signature(pi) for pi, sig in zip(cached, sigs))
