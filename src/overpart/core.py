@@ -332,9 +332,26 @@ class Signature(NamedTuple):
     opposite: bool
 
 
+# one object per distinct signature, so that a lookup of an equal
+# signature stops at the identity check
+_SIGNATURES: dict[Signature, Signature] = {}
+
+
 @lru_cache(maxsize=None)
-def _interned(*fields) -> Signature:
-    return Signature(*fields)
+def _signature_of(odd_values: int, runs: int, parity: int, last=(0, 0, 1)) -> Signature:
+    """The :class:`Signature` of ``runs`` runs, ``odd_values`` of them of
+    odd value, with a part count of parity ``parity`` and last run
+    ``last`` (the default stands for no run, so no smallest plain part).
+    Each field is defined here once; :func:`signature` and the counting
+    walk in :mod:`overpart.enumeration` reduce runs to these totals."""
+    last_value, plain, over = last
+    k = 0 if over else plain
+    # every other value has the opposite parity: odd s is the only odd
+    # value, even s the only even one
+    opposite = k > 0 and odd_values == (1 if last_value & 1 else runs - 1)
+    sig = Signature(odd_values == 0, odd_values == runs,
+                    last_value == 1 and plain > 0, parity, k, opposite)
+    return _SIGNATURES.setdefault(sig, sig)
 
 
 def signature(entries) -> Signature:
@@ -344,14 +361,8 @@ def signature(entries) -> Signature:
     for v, p, o in entries:
         odd_values += v & 1
         parts += p + o
-    # the empty overpartition has no smallest plain part
-    last, plain, over = entries[-1] if entries else (0, 0, 1)
-    k = 0 if over else plain
-    # every other value has the opposite parity: odd s is the only odd
-    # value, even s the only even one
-    opposite = k > 0 and odd_values == (1 if last & 1 else len(entries) - 1)
-    return _interned(odd_values == 0, odd_values == len(entries),
-                     last == 1 and plain > 0, parts & 1, k, opposite)
+    # the empty overpartition has no last run
+    return _signature_of(odd_values, len(entries), parts & 1, *entries[-1:])
 
 
 class Family(NamedTuple):

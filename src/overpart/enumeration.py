@@ -3,7 +3,11 @@ overpartitions, plus the identity checks built on those counts.
 
 Membership comes only from the family table in :mod:`overpart.core`:
 each overpartition is reduced to its :class:`~overpart.core.Signature`,
-and the table is evaluated once per distinct signature.  Signed counts
+and the table is evaluated once per distinct signature.  Counting walks
+the runs without building them: the walk follows the enumeration
+recursion and carries the number of odd values, the number of runs and
+the parity of the part count down to each completed overpartition,
+which yields its signature there, in enumeration order.  Signed counts
 are differences of the even and odd refinements.  All counts are exact
 Python integers (arbitrary precision).
 
@@ -31,7 +35,7 @@ from typing import Iterable, Iterator
 
 from .core import (
     FAMILY_IDS, SIGNED_REFINEMENTS, FamilySpec, OverPartition, Signature,
-    _canonical, member, signature,
+    _canonical, _signature_of, member, signature,
 )
 
 __all__ = [
@@ -44,7 +48,9 @@ __all__ = [
 # repeated family lookups stay below it, one-shot sweeps above it stream.
 # _annotated_cache[n] holds the overpartitions of n in enumeration order
 # and _signatures[n] their signatures, aligned by index; both are filled
-# together, so n in _annotated_cache means _signatures[n] is current
+# together, so n in _annotated_cache means _signatures[n] is current.
+# Every enumerated signature comes from _walk, which follows the runs
+# without building them
 _CACHE_LIMIT = 25
 _annotated_cache: dict[int, tuple[OverPartition, ...]] = {}
 _signatures: dict[int, tuple[Signature, ...]] = {}
@@ -64,10 +70,32 @@ def _runs(remaining: int, cap: int):
                 yield (head_over,) + tail
 
 
-def _entries(n: int):
+def _walk(remaining: int, cap: int, odd_values=0, runs=0, parity=0):
+    # the signatures of the overpartitions made of earlier runs with these
+    # totals followed by one of _runs(remaining, cap), in _runs order; the
+    # two variants of a head have the same totals, so they share each
+    # tail's signature, and differ only as the last run, with no tail
+    if not remaining:  # n = 0: the empty overpartition
+        yield signature(())
+    for v in range(min(remaining, cap), 0, -1):
+        odd, r = odd_values + (v & 1), runs + 1
+        for total in range(remaining // v, 0, -1):
+            rest, p = remaining - v * total, parity ^ (total & 1)
+            if rest:
+                for sig in _walk(rest, v - 1, odd, r, p):
+                    yield sig
+                    yield sig
+            else:
+                yield _signature_of(odd, r, p, (v, total, 0))
+                yield _signature_of(odd, r, p, (v, total - 1, 1))
+
+
+def _entries(n: int, walk=_runs):
+    # the runs of every overpartition of n, or with walk=_walk their
+    # signatures, in enumeration order
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _runs(n, n)
+    return walk(n, n)
 
 
 def overpartitions(n: int) -> Iterator[OverPartition]:
@@ -79,11 +107,10 @@ def overpartitions(n: int) -> Iterator[OverPartition]:
 
 def _annotated(n: int) -> Iterable[tuple[OverPartition, Signature]]:
     if n > _CACHE_LIMIT:
-        return ((pi, signature(pi)) for pi in overpartitions(n))
+        return zip(overpartitions(n), _entries(n, _walk))
     if n not in _annotated_cache:
-        pis = tuple(overpartitions(n))
-        _signatures[n] = tuple(map(signature, pis))
-        _annotated_cache[n] = pis
+        _signatures[n] = tuple(_entries(n, _walk))
+        _annotated_cache[n] = tuple(overpartitions(n))
     return zip(_annotated_cache[n], _signatures[n])
 
 
@@ -106,10 +133,10 @@ def family_elements(fam: FamilySpec, n: int) -> tuple[OverPartition, ...]:
 @lru_cache(maxsize=None)
 def _token_counts(n: int) -> Counter:
     # the signatures of weight n, from the annotated cache when it holds n
-    # (an audit has just enumerated it), else from one pass over the raw
-    # runs; then the family table once per distinct signature; a parametric
+    # (an audit has just enumerated it), else from one walk over the runs;
+    # then the family table once per distinct signature; a parametric
     # family can only hold at k = sig.k
-    sigs = _signatures[n] if n in _annotated_cache else map(signature, _entries(n))
+    sigs = _signatures[n] if n in _annotated_cache else _entries(n, _walk)
     counts = Counter()
     for sig, mult in Counter(sigs).items():
         for fid in FAMILY_IDS:

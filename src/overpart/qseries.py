@@ -32,7 +32,6 @@ from .core import (
     BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SPTK, SPTKO,
     FamilySpec,
 )
-from .enumeration import count_profile, profile_tokens
 
 __all__ = ["Series", "family_series", "cross_check"]
 
@@ -177,6 +176,10 @@ def cross_check(n_max: int, k_max: int = 1, order: int | None = None):
     Returns a list of mismatches ``(token, n, enumerated, coefficient)``;
     empty means the two oracles agree everywhere.
     """
+    # the only use of enumeration in this module, imported here so that
+    # no series code can reach it
+    from .enumeration import count_profile, profile_tokens
+
     if order is None:
         order = max(n_max, 1)
     if order < n_max:

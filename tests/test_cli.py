@@ -6,7 +6,7 @@ import pytest
 import overpart.bijections as bijections
 import overpart.cli as cli
 import overpart.qseries as qseries
-from overpart.cli import MAX_ORDER, main
+from overpart.cli import MAX_N, MAX_ORDER, main
 from overpart.enumeration import profile_tokens
 from overpart.qseries import Series
 
@@ -139,6 +139,10 @@ class TestCount:
         # b_e(1,9) - b_o(1,9) = 9 - 12
         code, out, _ = run(capsys, "count", "sptko-prime", "9", "--k", "1")
         assert code == 0 and out.strip() == "-3"
+
+    def test_negative_n_rejected(self, capsys):
+        assert run(capsys, "count", "pbar", "-1") == (
+            2, "", "error: n must be nonnegative\nrun 'overpart count --help' for usage\n")
 
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "count", "nope", "6")
@@ -375,6 +379,51 @@ class TestSeries:
         code, _, err = run(capsys, *argv, "--order", str(MAX_ORDER))
         assert (code, err) == (0, "")
         assert MAX_ORDER in seen[0]
+
+
+# every command that counts by enumeration, with n in place of its weight
+ENUMERATING = [
+    ("count", "pbar", "{n}"),
+    ("count", "sptko-prime", "{n}", "--k", "2"),
+    ("table", "--families", "pbar,spt1o-prime", "--n-max", "{n}", "--format", "csv"),
+    ("verify", "ALL", "--n-max", "{n}"),
+    ("verify", "T1", "--n-max", "{n}"),
+]
+
+
+class TestEnumerationCap:
+    @pytest.fixture
+    def engine(self, monkeypatch):
+        # stubs record the weights asked for, in place of the enumeration
+        seen = []
+
+        def counts(n, columns):
+            seen.append(n)
+            return [0] * len(columns)
+
+        def sides(identity, n):
+            seen.append(n)
+            return 0, 0
+
+        monkeypatch.setattr(cli, "count_many", counts)
+        monkeypatch.setattr(cli, "identity_sides", sides)
+        return seen
+
+    @pytest.mark.parametrize("argv", ENUMERATING)
+    @pytest.mark.parametrize("n", [30, MAX_N - 1, MAX_N])
+    def test_at_or_below_cap_accepted(self, capsys, engine, argv, n):
+        code, _, err = run(capsys, *(a.format(n=n) for a in argv))
+        assert (code, err) == (0, "")
+        assert max(engine) == n
+
+    @pytest.mark.parametrize("argv", ENUMERATING)
+    # count pbar 60 ran for more than 8 s before the cap existed
+    @pytest.mark.parametrize("n", [MAX_N + 1, 60, 10 ** 30])
+    def test_above_cap_rejected_before_enumerating(self, capsys, engine, argv, n):
+        code, out, err = run(capsys, *(a.format(n=n) for a in argv))
+        assert (code, out, engine) == (2, "", [])
+        assert err.startswith(f"error: n = {n} is above the enumeration cap {MAX_N}; ")
+        assert "'series'" in err
 
 
 class TestSelftest:

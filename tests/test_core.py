@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from overpart.core import (
     BEK, BOK, CE, CO, FAMILY_IDS, INFINITY, PBAR, PE, PEX, POEX, SPTK, SPTKO,
     CollisionError, FamilySpec, OverPartition, OverpartitionError,
-    ParseError, is_member, parse, parse_family_token, stats, why_not_member,
+    ParseError, Signature, is_member, parse, parse_family_token, signature,
+    stats, why_not_member,
 )
 from overpart.enumeration import (
     count_profile, family_elements, overpartitions, profile_tokens,
@@ -200,6 +201,43 @@ def readme_member(pi, fid, k):
         return spto
     above = sum(1 for v in values if v > s)
     return spto and above % 2 == (0 if fid == BEK else 1)
+
+
+def readme_signature(pi):
+    """The Signature fields as the README's definitions read them over
+    the expanded parts."""
+    parts = list(pi.parts())
+    values = {v for v, _ in parts}
+    plain = [v for v, overlined in parts if not overlined]
+    s = min(plain, default=None)
+    # k counts the copies of s when every overlined part lies above s
+    spt = s is not None and all(v > s for v, overlined in parts if overlined)
+    k = plain.count(s) if spt else 0
+    return Signature(
+        all_even=all(v % 2 == 0 for v in values),
+        all_odd=all(v % 2 == 1 for v in values),
+        plain_one=1 in plain,
+        parity=len(parts) % 2,
+        k=k,
+        opposite=k > 0 and all(v % 2 != s % 2 for v in values if v != s),
+    )
+
+
+class TestSignature:
+    @settings(max_examples=300)
+    @given(overpartition_strategy(max_value=9, max_entries=6))
+    def test_matches_readme_definitions(self, pi):
+        assert signature(pi) == readme_signature(pi), str(pi)
+
+    def test_empty(self):
+        empty = OverPartition(())
+        assert signature(empty) == readme_signature(empty)
+        assert signature(empty) is signature(())
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_overpartition_up_to_8(self, n):
+        for pi in overpartitions(n):
+            assert signature(pi) == readme_signature(pi), str(pi)
 
 
 class TestMembership:

@@ -12,6 +12,11 @@ from overpart.enumeration import (
     family_elements, identity_sides, overpartitions,
 )
 
+# pbar(n) for n = 0..18 (OEIS A015128)
+PBAR_0_18 = [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232, 344, 504, 728, 1040,
+             1472, 2062, 2864, 3948]
+PBAR_0_14 = PBAR_0_18[:15]
+
 _POEX_PRIME = (FamilySpec(POEX), True)
 _SPT1O_PRIME = (FamilySpec(SPTKO, 1), True)
 
@@ -54,6 +59,24 @@ class TestEnumeration:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             overpartitions(-1)
+
+    @pytest.mark.parametrize("call", [
+        lambda: count_many(-1, [(FamilySpec(PBAR), False)]),
+        lambda: count_profile(-1),
+        lambda: family_elements(FamilySpec(PBAR), -1),
+    ])
+    def test_negative_weight_rejected_by_the_counting_path(self, call):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            call()
+
+    @pytest.mark.parametrize("n", range(19))
+    def test_walk_yields_the_signatures_of_the_runs(self, n):
+        # element by element, in enumeration order
+        walked = list(enumeration._entries(n, enumeration._walk))
+        assert walked == list(map(signature, enumeration._entries(n)))
+        assert len(walked) == PBAR_0_18[n]
+        # interned: equal signatures are one object
+        assert len(set(map(id, walked))) == len(set(walked))
 
 
 class TestFamilyStreams:
@@ -205,10 +228,6 @@ class TestIdentities:
             assert d["difference"][0] == d["difference"][1]
             assert d["sum"] == identity_sides("T2", n)
             assert d["difference"][0] == identity_sides("T3", n)[0]
-
-
-# pbar(n) for n = 0..14 (OEIS A015128)
-PBAR_0_14 = [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232, 344, 504, 728, 1040]
 
 
 class TestCacheLayout:

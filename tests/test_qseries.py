@@ -1,3 +1,4 @@
+import ast
 from functools import lru_cache
 from operator import add, sub
 
@@ -179,6 +180,30 @@ class TestCrossCheck:
         finally:
             qseries._suffix_products.cache_clear()
         assert mismatches
+
+    def test_series_module_imports_no_enumeration(self):
+        # the oracles stay independent: enumeration is imported only inside
+        # cross_check, never where series code could reach it
+        def imported(node):
+            if isinstance(node, ast.ImportFrom):
+                return [node.module or ""] + [a.name for a in node.names]
+            return [a.name for a in node.names] if isinstance(node, ast.Import) else []
+
+        def module_level(nodes):
+            for node in nodes:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    yield node
+                    yield from module_level(ast.iter_child_nodes(node))
+
+        with open(qseries.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        top = [name for node in module_level(tree.body) for name in imported(node)]
+        assert "core" in top
+        assert not [name for name in top if "enumeration" in name]
+        (check,) = [f for f in tree.body
+                    if isinstance(f, ast.FunctionDef) and f.name == "cross_check"]
+        assert any("enumeration" in name for node in ast.walk(check)
+                   for name in imported(node))
 
 
 @lru_cache(maxsize=None)
