@@ -344,7 +344,7 @@ def apply_map(theorem: str, pi: OverPartition, n: int,
 
 def _audit_row(theorem: str, n: int):
     if theorem not in _AUDITS:
-        raise ValueError(f"no bijection audit for {theorem!r} (T3 has its own)")
+        raise ValueError(f"no bijection audit for {theorem!r}")
     start = IDENTITY_START[theorem]
     if n < start:
         raise ValueError(f"{theorem} is audited for n > {start - 1}")

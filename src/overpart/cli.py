@@ -32,6 +32,10 @@ MAX_ORDER = 4000
 # and pbar(n) grows like exp(pi*sqrt(n)); pbar(42) = 1,967,696, and
 # verify ALL --n-max 42 takes 3.5-5 s (one core, Python 3.11)
 MAX_N = 42
+# check-bijection builds and audits every element of each weight it
+# checks; check-bijection T1 --n-max 30 takes about 5 s and 61 MiB
+# (one core, Python 3.11), and --n-max 33 already 9.6 s
+MAX_AUDIT_N = 30
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -58,9 +62,9 @@ def _check_cap(order: int):
         raise ValueError(f"truncation order {order} is above the cap {MAX_ORDER}")
 
 
-def _check_weight(n: int) -> int:
-    if n > MAX_N:
-        raise ValueError(f"n = {n} is above the enumeration cap {MAX_N}; use 'series' instead")
+def _check_weight(n: int, cap: int = MAX_N, hint: str = "; use 'series' instead") -> int:
+    if n > cap:
+        raise ValueError(f"n = {n} is above the enumeration cap {cap}{hint}")
     return n
 
 
@@ -79,13 +83,12 @@ def _check_n_max(args, low: int):
                          f"{args.command} needs --n-max >= {low}")
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> tuple[str, int]:
     (value,) = count_many(_check_weight(args.n), [parse_family_token(args.family, args.k)])
-    _emit(str(value), args.out)
-    return EXIT_OK
+    return str(value), EXIT_OK
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[str, int]:
     tokens = [t.strip() for t in args.families.split(",") if t.strip()]
     if not tokens:
         raise ValueError("no families given")
@@ -104,11 +107,10 @@ def cmd_table(args) -> int:
         width = max(len(t) for t in tokens) + 2
         text = "\n".join(str(n).rjust(6) + "".join(str(c).rjust(width) for c in counts)
                          for n, counts in [("n", tokens)] + rows)
-    _emit(text, args.out)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     names = list(IDENTITIES) if args.identity == "ALL" else [args.identity]
     _check_n_max(args, min(IDENTITY_START[name] for name in names))
     lines = []
@@ -121,11 +123,10 @@ def cmd_verify(args) -> int:
             else:
                 all_pass = False
                 lines.append(f"{name} n={n}: {lhs} != {rhs} FAIL")
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
+    return "\n".join(lines), EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
-def cmd_map(args) -> int:
+def cmd_map(args) -> tuple[str, int]:
     pi = parse(args.input)
     trace = apply_map(args.theorem, pi, args.n, args.source)
     if args.format == "json":
@@ -137,8 +138,7 @@ def cmd_map(args) -> int:
                 f"signFlip={str(trace.sign_flip).lower()}")
         if trace.ambiguous_s2:
             text += " ambiguousS2=true"
-    _emit(text, args.out)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
 def _golden_lines(theorem: str, n: int) -> list[str]:
@@ -154,28 +154,25 @@ def _golden_lines(theorem: str, n: int) -> list[str]:
     return lines
 
 
-def cmd_check_bijection(args) -> int:
+def cmd_check_bijection(args) -> tuple[str, int]:
     theorem = args.theorem
-    start = IDENTITY_START[theorem]
     if args.n is not None:
-        ns = [args.n]
+        ns = [_check_weight(args.n, MAX_AUDIT_N, "")]
     else:
-        _check_n_max(args, start)
-        ns = list(range(start, args.n_max + 1))
+        _check_n_max(args, IDENTITY_START[theorem])
+        ns = range(IDENTITY_START[theorem], _check_weight(args.n_max, MAX_AUDIT_N, "") + 1)
     lines = []
     all_ok = True
     for n in ns:
+        r = verify_t3(n) if theorem == "T3" else verify_bijection(theorem, n)
+        status = "PASS" if r.ok else "FAIL"
         if theorem == "T3":
-            r = verify_t3(n)
-            status = "PASS" if r.ok else "FAIL"
             lines.append(
                 f"T3 n={n}: matching {r.blocks['odd-domain']} -> "
                 f"{r.blocks['odd-image']}, even {r.blocks['even-domain']} -> "
                 f"{r.blocks['poex']} {status}")
         else:
-            r = verify_bijection(theorem, n)
             word = "bijective" if r.injective and r.surjective else "NOT bijective"
-            status = "PASS" if r.ok else "FAIL"
             lines.append(f"{theorem} n={n}: domain {r.domain_size} = "
                          f"codomain {r.codomain_size}, {word} {status}")
         all_ok = all_ok and r.ok
@@ -186,21 +183,19 @@ def cmd_check_bijection(args) -> int:
                 lines.append(f"  violation: {json.dumps(v.to_json_dict())}")
         if args.golden:
             lines.extend(_golden_lines(theorem, n))
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return "\n".join(lines), EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def cmd_series(args) -> int:
+def cmd_series(args) -> tuple[str, int]:
     order = args.order if args.order is not None else _default_order()
     _check_cap(order)
     ser = series_for_token(args.family, order, args.k)
-    text = "\n".join(f"{i}\t{c}" for i, c in enumerate(ser.coeffs))
-    _emit(text, args.out)
-    return EXIT_OK
+    return "\n".join(f"{i}\t{c}" for i, c in enumerate(ser.coeffs)), EXIT_OK
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[str, int]:
     _check_n_max(args, 0)
+    _check_weight(args.n_max)
     order = args.order if args.order is not None else max(args.n_max, 1)
     _check_cap(order)
     if order < args.n_max:
@@ -213,8 +208,7 @@ def cmd_selftest(args) -> int:
     verdict = "PASS" if not mismatches else "FAIL"
     lines.append(f"selftest {verdict}: families x n <= {args.n_max}, "
                  f"k <= {args.k_max}, order {order}")
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK if not mismatches else EXIT_VERIFY_FAILED
+    return "\n".join(lines), EXIT_OK if not mismatches else EXIT_VERIFY_FAILED
 
 
 @functools.cache
@@ -228,14 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "constructive maps behind the identities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
-        p.add_argument("--out", help="write output to this file instead of stdout")
-
     p = sub.add_parser("count", help="count one family at one weight")
     p.add_argument("family", help="family token, e.g. spt1, pex, sptko-prime")
     p.add_argument("n", type=int)
     p.add_argument("--k", type=int, default=1, help="multiplicity for spt/be/bo tokens without digits")
-    add_out(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("table", help="tabulate several families for n = 0..n-max")
@@ -243,33 +233,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    add_out(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="check the counting identities by enumeration")
     p.add_argument("identity", choices=IDENTITIES + ("ALL",))
     p.add_argument("--n-max", type=int, required=True)
-    add_out(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("map", help="apply one constructive map to one overpartition")
-    p.add_argument("theorem", choices=("T1", "T2", "T3", "T4e", "T4o"))
+    p.add_argument("theorem", choices=IDENTITIES)
     p.add_argument("--input", required=True, help="overpartition literal")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--source", choices=("N", "N-1", "N-2"), default=None,
                    help="domain summand the input belongs to (default N)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    add_out(p)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("check-bijection", help="exhaustive audit of one map")
-    p.add_argument("theorem", choices=("T1", "T2", "T3", "T4e", "T4o"))
+    p.add_argument("theorem", choices=IDENTITIES)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int)
     group.add_argument("--n-max", type=int)
     p.add_argument("--golden", action="store_true",
                    help="also list every map application")
-    add_out(p)
     p.set_defaults(func=cmd_check_bijection)
 
     p = sub.add_parser("series", help="print q-series coefficients, one per line")
@@ -278,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"truncation order, at most {MAX_ORDER} "
                         f"(default OVERPART_ORDER or {DEFAULT_ORDER})")
     p.add_argument("--k", type=int, default=1)
-    add_out(p)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("selftest", help="cross-check enumeration against the q-series oracle")
@@ -286,9 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--order", type=int, default=None,
                    help=f"truncation order, at most {MAX_ORDER} (default n-max)")
-    add_out(p)
     p.set_defaults(func=cmd_selftest)
 
+    # last, so that --out closes every command's option list
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write output to this file instead of stdout")
     return parser
 
 
@@ -299,7 +286,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        text, code = args.func(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -308,6 +295,12 @@ def main(argv=None) -> int:
         print(f"run '{parser.prog} {args.command} --help' for usage",
               file=sys.stderr)
         return EXIT_USAGE
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from typing import Callable, Iterator, NamedTuple
 __all__ = [
     "INFINITY",
     "PBAR", "SPTK", "SPTKO", "PE", "PEX", "POEX", "BEK", "BOK", "CE", "CO",
-    "FAMILY_IDS", "PARAMETRIC_FAMILIES",
+    "FAMILY_IDS",
     "OverpartitionError", "ParseError", "CollisionError",
     "OverPartition", "Stats", "FamilySpec", "Signature", "Family",
     "FAMILY_TABLE", "SIGNED_REFINEMENTS",
@@ -414,9 +414,6 @@ FAMILY_TABLE = {
     BOK: Family("bo{k}", SPTKO, lambda sig, k: (sig.parity + k) % 2 == 1,
                 lambda pi, k: f"{pi.num_parts - k} parts above {pi[-1][0]} (even); must be odd"),
 }
-
-# families whose definition uses the multiplicity parameter k
-PARAMETRIC_FAMILIES = tuple(fid for fid, row in FAMILY_TABLE.items() if "{k}" in row.token)
 
 # signed family -> (even, odd) refinement; its signed count is even - odd
 SIGNED_REFINEMENTS = {SPTKO: (BEK, BOK), POEX: (CE, CO)}

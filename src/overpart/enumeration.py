@@ -25,6 +25,20 @@ n=4 this gives
     2,1o,1, 2o,1o,1, 1,1,1,1, 1o,1,1,1
 
 which golden tests freeze.  Family streams preserve this order.
+
+Identities
+----------
+The five identities T1..T4o are defined once, in one private table:
+each row gives the first n the identity holds for, its left-hand terms
+and its right-hand terms, and a term ``(c, token, offset)`` stands for
+``c * token(n + offset)``.  ``IDENTITIES`` and ``IDENTITY_START`` are
+read from the table, and ``identity_sides`` sums each side term by
+term from :func:`count_profile`.  For example T2 is
+
+    spt1o(n) + spt1o(n-2) = 2*pe(n-1) + poex(n-1)      (n > 2)
+
+``derivation_sides`` adds and subtracts the sides of T4e and T4o,
+which must reproduce T2 and T3.
 """
 
 from __future__ import annotations
@@ -176,39 +190,39 @@ def count_profile(n: int, k_max: int = 1) -> dict[str, int]:
 # identities between the counting functions, each checked by enumeration
 # ---------------------------------------------------------------------------
 
-IDENTITIES = ("T1", "T2", "T3", "T4e", "T4o")
+# identity -> (first n, left-hand terms, right-hand terms); a term
+# (c, token, offset) stands for c * token(n + offset).  T2 and T3 are the
+# sum and difference of T4e and T4o, since spt1o = be1 + bo1 and
+# spt1o-prime = be1 - bo1
+_IDENTITY_TABLE = {
+    "T1": (2, ((1, "spt1", 0), (1, "spt1", -1)), ((1, "pex", 0),)),
+    "T2": (3, ((1, "spt1o", 0), (1, "spt1o", -2)), ((2, "pe", -1), (1, "poex", -1))),
+    "T3": (3, ((1, "spt1o-prime", 0), (1, "spt1o-prime", -2)), ((-1, "poex-prime", -1),)),
+    "T4e": (3, ((1, "be1", 0), (1, "be1", -2)), ((1, "pe", -1), (1, "co", -1))),
+    "T4o": (3, ((1, "bo1", 0), (1, "bo1", -2)), ((1, "pe", -1), (1, "ce", -1))),
+}
+
+IDENTITIES = tuple(_IDENTITY_TABLE)
 
 # first n for which each identity is asserted
-IDENTITY_START = {"T1": 2, "T2": 3, "T3": 3, "T4e": 3, "T4o": 3}
+IDENTITY_START = {name: row[0] for name, row in _IDENTITY_TABLE.items()}
+
+
+def _side(terms, n: int) -> int:
+    # one count_profile call per term, in table order, looked up at call
+    # time so that a wrapper on the module attribute sees every call
+    return sum(c * count_profile(n + offset)[token] for c, token, offset in terms)
 
 
 def identity_sides(identity: str, n: int) -> tuple[int, int]:
-    """Left and right side of one identity at ``n``, both by enumeration.
-
-    T1:  spt1(n) + spt1(n-1)            = pex(n)
-    T2:  spt1o(n) + spt1o(n-2)          = 2*pe(n-1) + poex(n-1)
-    T3:  spt1o'(n) + spt1o'(n-2)        = -poex'(n-1)
-    T4e: be1(n) + be1(n-2)              = pe(n-1) + co(n-1)
-    T4o: bo1(n) + bo1(n-2)              = pe(n-1) + ce(n-1)
-    """
-    p = count_profile
-    if identity == "T1":
-        if n < 2:
-            raise ValueError("T1 holds for n > 1")
-        return p(n)["spt1"] + p(n - 1)["spt1"], p(n)["pex"]
-    if n < 3:
-        raise ValueError(f"{identity} holds for n > 2")
-    if identity == "T2":
-        lhs = p(n)["spt1o"] + p(n - 2)["spt1o"]
-        return lhs, 2 * p(n - 1)["pe"] + p(n - 1)["poex"]
-    if identity == "T3":
-        lhs = p(n)["spt1o-prime"] + p(n - 2)["spt1o-prime"]
-        return lhs, -p(n - 1)["poex-prime"]
-    if identity == "T4e":
-        return p(n)["be1"] + p(n - 2)["be1"], p(n - 1)["pe"] + p(n - 1)["co"]
-    if identity == "T4o":
-        return p(n)["bo1"] + p(n - 2)["bo1"], p(n - 1)["pe"] + p(n - 1)["ce"]
-    raise ValueError(f"unknown identity {identity!r}")
+    """Left and right side of one identity at ``n``, both by enumeration,
+    summed term by term from the identity table."""
+    if identity not in _IDENTITY_TABLE:
+        raise ValueError(f"unknown identity {identity!r}")
+    start, lhs, rhs = _IDENTITY_TABLE[identity]
+    if n < start:
+        raise ValueError(f"{identity} holds for n > {start - 1}")
+    return _side(lhs, n), _side(rhs, n)
 
 
 def derivation_sides(n: int) -> dict[str, tuple[int, int]]:
@@ -220,11 +234,5 @@ def derivation_sides(n: int) -> dict[str, tuple[int, int]]:
     """
     if n < 3:
         raise ValueError("defined for n > 2")
-    p = count_profile
-    be = p(n)["be1"] + p(n - 2)["be1"]
-    bo = p(n)["bo1"] + p(n - 2)["bo1"]
-    pe1, ce1, co1 = p(n - 1)["pe"], p(n - 1)["ce"], p(n - 1)["co"]
-    return {
-        "sum": (be + bo, 2 * pe1 + (ce1 + co1)),
-        "difference": (be - bo, co1 - ce1),
-    }
+    (be, even), (bo, odd) = identity_sides("T4e", n), identity_sides("T4o", n)
+    return {"sum": (be + bo, even + odd), "difference": (be - bo, even - odd)}

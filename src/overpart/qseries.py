@@ -29,8 +29,8 @@ from functools import lru_cache
 from operator import add, sub
 
 from .core import (
-    BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SPTK, SPTKO,
-    FamilySpec,
+    PBAR, PE, PEX, POEX, SIGNED_REFINEMENTS, SPTK, SPTKO, FamilySpec,
+    parse_family_token,
 )
 
 __all__ = ["Series", "family_series", "cross_check"]
@@ -128,7 +128,7 @@ def family_series(fam: FamilySpec, order: int, z: int = 1) -> Series:
     """
     if z not in (1, -1):
         raise ValueError("z must be +1 or -1")
-    if z == -1 and fam.id not in (SPTKO, POEX):
+    if z == -1 and fam.id not in SIGNED_REFINEMENTS:
         raise ValueError(f"family {fam.token!r} has no signed statistic; z=-1 invalid")
     fid = fam.id
     if fid == PBAR:
@@ -150,21 +150,16 @@ def family_series(fam: FamilySpec, order: int, z: int = 1) -> Series:
         odd = _suffix_products(order, z, "odd")
         even = _suffix_products(order, z, "even")
         return _shifted_sum(lambda s: odd[s] if s % 2 == 0 else even[s], fam.k, order)
-    if fid in (BEK, BOK):
-        base = FamilySpec(SPTKO, fam.k)
-        return _halved(family_series(base, order, 1), family_series(base, order, -1),
-                       even_half=(fid == BEK))
-    # CE / CO
-    base = FamilySpec(POEX)
+    # BEK / BOK / CE / CO: the even or odd half of a signed family
+    base, even = next((FamilySpec(signed, fam.k), halves[0])
+                      for signed, halves in SIGNED_REFINEMENTS.items() if fid in halves)
     return _halved(family_series(base, order, 1), family_series(base, order, -1),
-                   even_half=(fid == CE))
+                   even_half=(fid == even))
 
 
 def series_for_token(token: str, order: int, default_k: int = 1) -> Series:
     """Series for a command-line family token; ``-prime`` variants
     evaluate the underlying family at z = -1."""
-    from .core import parse_family_token
-
     fam, signed = parse_family_token(token, default_k)
     return family_series(fam, order, -1 if signed else 1)
 

@@ -247,6 +247,14 @@ class TestAudits:
         with pytest.raises(ValueError):
             verify_t3(2)
 
+    def test_unknown_theorem_messages(self):
+        # T3 has an audit row, which all_traces reads; only the
+        # verify_bijection entry point sends T3 to verify_t3
+        with pytest.raises(ValueError, match=r"^no bijection audit for 'T9'$"):
+            bijections.all_traces("T9", 5)
+        with pytest.raises(ValueError, match=r"^no bijection audit for 'T3' \(T3 has its own\)$"):
+            verify_bijection("T3", 5)
+
 
 class TestWeightContracts:
     def test_t3_matching_weights(self):

@@ -6,7 +6,7 @@ import pytest
 import overpart.bijections as bijections
 import overpart.cli as cli
 import overpart.qseries as qseries
-from overpart.cli import MAX_N, MAX_ORDER, main
+from overpart.cli import MAX_AUDIT_N, MAX_N, MAX_ORDER, main
 from overpart.enumeration import profile_tokens
 from overpart.qseries import Series
 
@@ -390,6 +390,14 @@ ENUMERATING = [
     ("verify", "T1", "--n-max", "{n}"),
 ]
 
+# the commands that enumerate beyond count, table and verify: selftest
+# under MAX_N, check-bijection under its own cap
+GUARDED = [
+    (("selftest", "--n-max", "{n}", "--k-max", "1"), MAX_N),
+    (("check-bijection", "T1", "--n", "{n}"), MAX_AUDIT_N),
+    (("check-bijection", "T3", "--n-max", "{n}"), MAX_AUDIT_N),
+]
+
 
 class TestEnumerationCap:
     @pytest.fixture
@@ -424,6 +432,39 @@ class TestEnumerationCap:
         assert (code, out, engine) == (2, "", [])
         assert err.startswith(f"error: n = {n} is above the enumeration cap {MAX_N}; ")
         assert "'series'" in err
+
+    @pytest.fixture
+    def audit_engine(self, monkeypatch):
+        seen = []
+
+        def cross_check(n_max, k_max, order):
+            seen.append(n_max)
+            return []
+
+        def audit(theorem, n):
+            seen.append(n)
+            blocks = dict.fromkeys(("odd-domain", "odd-image", "even-domain", "poex"), 0)
+            return bijections.VerificationReport(theorem, n, 0, 0, True, True, blocks=blocks)
+
+        monkeypatch.setattr(cli, "cross_check", cross_check)
+        monkeypatch.setattr(cli, "verify_bijection", audit)
+        monkeypatch.setattr(cli, "verify_t3", lambda n: audit("T3", n))
+        return seen
+
+    @pytest.mark.parametrize("argv,cap", GUARDED)
+    def test_guarded_at_cap_accepted(self, capsys, audit_engine, argv, cap):
+        code, _, err = run(capsys, *(a.format(n=cap) for a in argv))
+        assert (code, err) == (0, "")
+        assert max(audit_engine) == cap
+
+    # selftest --n-max 60 ran for more than 40 s before its cap existed
+    @pytest.mark.parametrize("argv,cap,n", [(argv, cap, n) for argv, cap in GUARDED
+                                            for n in (cap + 1, 60, 10 ** 30)])
+    def test_guarded_above_cap_rejected_before_enumerating(self, capsys, audit_engine,
+                                                           argv, cap, n):
+        code, out, err = run(capsys, *(a.format(n=n) for a in argv))
+        assert (code, out, audit_engine) == (2, "", [])
+        assert err.startswith(f"error: n = {n} is above the enumeration cap {cap}")
 
 
 class TestSelftest:
@@ -461,6 +502,22 @@ class TestSelftest:
         assert built == profile_tokens(3)
 
 
+# one shape of each command and output format, each with a small n
+OUT_SHAPES = [
+    ("count", "spt1", "6"),
+    ("table", "--families", "spt1,pex", "--n-max", "6", "--format", "csv"),
+    ("table", "--families", "spt1,pex", "--n-max", "6", "--format", "json"),
+    ("table", "--families", "spt1,pex", "--n-max", "6"),
+    ("verify", "ALL", "--n-max", "8"),
+    ("map", "T1", "--input", "5,1", "--source", "N", "--n", "6"),
+    ("map", "T3", "--input", "8,1", "--n", "9", "--format", "json"),
+    ("check-bijection", "T1", "--n-max", "6", "--golden"),
+    ("check-bijection", "T3", "--n", "9"),
+    ("series", "pbar", "--order", "10"),
+    ("selftest", "--n-max", "8", "--k-max", "2"),
+]
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert run(capsys, )[0] == 2
@@ -477,6 +534,33 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv", OUT_SHAPES)
+    def test_out_file_holds_what_stdout_shows(self, capsys, tmp_path, argv):
+        shown = run(capsys, *argv)
+        path = tmp_path / "out.txt"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out, err) == (shown[0], "", shown[2])
+        assert path.read_text(encoding="utf-8") == shown[1]
+
+    def test_out_file_keeps_a_failed_verification(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "identity_sides", lambda name, n: (n, n + 1))
+        shown = run(capsys, "verify", "T2", "--n-max", "5")
+        path = tmp_path / "out.txt"
+        code, out, err = run(capsys, "verify", "T2", "--n-max", "5", "--out", str(path))
+        assert shown[0] == code == 1
+        assert (out, err) == ("", "")
+        assert path.read_text(encoding="utf-8") == shown[1] == (
+            "T2 n=3: 3 != 4 FAIL\nT2 n=4: 4 != 5 FAIL\nT2 n=5: 5 != 6 FAIL\n")
+
+    @pytest.mark.parametrize("target", ["dir", "missing/x"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, target):
+        (tmp_path / "dir").mkdir()
+        path = tmp_path / target
+        code, out, err = run(capsys, "count", "spt1", "6", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ("table", "--families", "pbar", "--n-max", "-1"),

@@ -8,7 +8,7 @@ from overpart.core import (
     OverPartition, parse, parse_family_token, signature,
 )
 from overpart.enumeration import (
-    IDENTITY_START, count_many, count_profile, derivation_sides,
+    IDENTITIES, IDENTITY_START, count_many, count_profile, derivation_sides,
     family_elements, identity_sides, overpartitions,
 )
 
@@ -228,6 +228,71 @@ class TestIdentities:
             assert d["difference"][0] == d["difference"][1]
             assert d["sum"] == identity_sides("T2", n)
             assert d["difference"][0] == identity_sides("T3", n)[0]
+
+
+def _reference_identity_sides(identity, n):
+    # the identities as an if-chain, one branch each, kept as the
+    # reference the identity table is checked against
+    p = count_profile
+    if identity == "T1":
+        if n < 2:
+            raise ValueError("T1 holds for n > 1")
+        return p(n)["spt1"] + p(n - 1)["spt1"], p(n)["pex"]
+    if n < 3:
+        raise ValueError(f"{identity} holds for n > 2")
+    if identity == "T2":
+        lhs = p(n)["spt1o"] + p(n - 2)["spt1o"]
+        return lhs, 2 * p(n - 1)["pe"] + p(n - 1)["poex"]
+    if identity == "T3":
+        lhs = p(n)["spt1o-prime"] + p(n - 2)["spt1o-prime"]
+        return lhs, -p(n - 1)["poex-prime"]
+    if identity == "T4e":
+        return p(n)["be1"] + p(n - 2)["be1"], p(n - 1)["pe"] + p(n - 1)["co"]
+    if identity == "T4o":
+        return p(n)["bo1"] + p(n - 2)["bo1"], p(n - 1)["pe"] + p(n - 1)["ce"]
+    raise ValueError(f"unknown identity {identity!r}")
+
+
+def _reference_derivation_sides(n):
+    # T4e + T4o and T4e - T4o written out from the refined counts
+    p = count_profile
+    be = p(n)["be1"] + p(n - 2)["be1"]
+    bo = p(n)["bo1"] + p(n - 2)["bo1"]
+    pe1, ce1, co1 = p(n - 1)["pe"], p(n - 1)["ce"], p(n - 1)["co"]
+    return {
+        "sum": (be + bo, 2 * pe1 + (ce1 + co1)),
+        "difference": (be - bo, co1 - ce1),
+    }
+
+
+class TestIdentityTable:
+    def test_names_and_starts(self):
+        assert IDENTITIES == ("T1", "T2", "T3", "T4e", "T4o")
+        assert list(IDENTITY_START.items()) == [
+            ("T1", 2), ("T2", 3), ("T3", 3), ("T4e", 3), ("T4o", 3)]
+
+    @pytest.mark.parametrize("identity", IDENTITIES)
+    def test_sides_match_reference(self, identity):
+        for n in range(IDENTITY_START[identity], 31):
+            assert identity_sides(identity, n) == _reference_identity_sides(identity, n), n
+
+    def test_derivation_matches_reference(self):
+        for n in range(3, 31):
+            assert derivation_sides(n) == _reference_derivation_sides(n), n
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_unknown_identity_named_before_start(self, n):
+        with pytest.raises(ValueError, match=r"^unknown identity 'T9'$"):
+            identity_sides("T9", n)
+
+    @pytest.mark.parametrize("identity", IDENTITIES)
+    def test_start_messages(self, identity):
+        start = IDENTITY_START[identity]
+        with pytest.raises(ValueError) as raised:
+            identity_sides(identity, start - 1)
+        with pytest.raises(ValueError) as expected:
+            _reference_identity_sides(identity, start - 1)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestCacheLayout:
