@@ -293,16 +293,13 @@ def map_t3_odd(pi: OverPartition, n: int) -> MapTrace:
     if len(pi) == 1:  # the 1 is the only entry
         raise PreconditionError("no part above the 1 to act on")
     s2, plain, over = pi[-2]  # the 1 is plain-only, so it is the last entry
-    ambiguous = plain >= 1 and over == 1
     base = pi.remove_plain(1)
-    if plain >= 1:
-        branch, target = "odd-plain", "SPT1O-N-2"
-        out = base.remove_plain(s2).add_plain(s2 - 1)
+    if plain:
+        branch, target, out = "odd-plain", "SPT1O-N-2", base.remove_plain(s2).add_plain(s2 - 1)
     else:
-        branch, target = "odd-overlined", "SPT1O-N"
-        out = base.remove_overline(s2).add_plain(s2 + 1)
-    flip = _flip(st, out, target)
-    return MapTrace("T3", SOURCE_N, branch, pi, out, target, flip, ambiguous)
+        branch, target, out = "odd-overlined", "SPT1O-N", base.remove_overline(s2).add_plain(s2 + 1)
+    return MapTrace("T3", SOURCE_N, branch, pi, out, target, _flip(st, out, target),
+                    plain >= 1 and over == 1)
 
 
 def map_t3_even(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
@@ -498,8 +495,7 @@ def verify_t3(n: int) -> VerificationReport:
     poex(n-1).
     """
     report, traces = _audit("T3", n)
-    b = report.blocks
-    even = sum(tr.target_tag == "POEX" for tr in traces)
+    b, even = report.blocks, sum(tr.target_tag == "POEX" for tr in traces)
     report.blocks = {"odd-domain": len(traces) - even, "even-domain": even,
                      "odd-image": b["image:SPT1O-N"] + b["image:SPT1O-N-2"],
                      "poex": b["codomain:POEX"]}

@@ -28,9 +28,10 @@ DEFAULT_ORDER = 200
 # token (be1, four parity tables) takes about 3.3 s and 430 MiB, and
 # selftest (every table and k <= 4) about 12 s and 690 MiB
 MAX_ORDER = 4000
-# count, table and verify enumerate every overpartition of each weight,
-# and pbar(n) grows like exp(pi*sqrt(n)); pbar(42) = 1,967,696, and
-# verify ALL --n-max 42 takes 3.5-5 s (one core, Python 3.11)
+# count, table, verify and selftest count from a memo of run states and
+# list no overpartition; at this cap, where pbar(42) = 1,967,696, verify
+# ALL --n-max 42 takes about 0.1 s in a fresh process (one core, Python
+# 3.11)
 MAX_N = 42
 # check-bijection builds and audits every element of each weight it
 # checks; check-bijection T1 --n-max 30 takes about 5 s and 61 MiB
@@ -76,11 +77,12 @@ def _emit(text: str, out_path: str | None):
         print(text)
 
 
-def _check_n_max(args, low: int):
-    """Reject an ``--n-max`` below the first weight the command checks."""
-    if args.n_max < low:
-        raise ValueError(f"--n-max {args.n_max} checks nothing; "
-                         f"{args.command} needs --n-max >= {low}")
+def _check_min(args, option: str, low: int):
+    """Reject an option value below the least one the command checks
+    anything at: the first weight for ``n_max``, k = 1 for ``k_max``."""
+    value, flag = getattr(args, option), "--" + option.replace("_", "-")
+    if value < low:
+        raise ValueError(f"{flag} {value} checks nothing; {args.command} needs {flag} >= {low}")
 
 
 def cmd_count(args) -> tuple[str, int]:
@@ -92,17 +94,15 @@ def cmd_table(args) -> tuple[str, int]:
     tokens = [t.strip() for t in args.families.split(",") if t.strip()]
     if not tokens:
         raise ValueError("no families given")
-    _check_n_max(args, 0)
+    _check_min(args, "n_max", 0)
     columns = [parse_family_token(t, args.k) for t in tokens]
     rows = [(n, count_many(n, columns)) for n in range(_check_weight(args.n_max) + 1)]
     if args.format == "csv":
         text = "\n".join(f"{n}," + ",".join(map(str, counts))
                          for n, counts in [("n", tokens)] + rows)
     elif args.format == "json":
-        text = json.dumps([
-            {"n": n, **{tok: str(c) for tok, c in zip(tokens, counts)}}
-            for n, counts in rows
-        ])
+        text = json.dumps([{"n": n, **{tok: str(c) for tok, c in zip(tokens, counts)}}
+                           for n, counts in rows])
     else:
         width = max(len(t) for t in tokens) + 2
         text = "\n".join(str(n).rjust(6) + "".join(str(c).rjust(width) for c in counts)
@@ -112,17 +112,15 @@ def cmd_table(args) -> tuple[str, int]:
 
 def cmd_verify(args) -> tuple[str, int]:
     names = list(IDENTITIES) if args.identity == "ALL" else [args.identity]
-    _check_n_max(args, min(IDENTITY_START[name] for name in names))
+    _check_min(args, "n_max", min(IDENTITY_START[name] for name in names))
     lines = []
     all_pass = True
     for name in names:
         for n in range(IDENTITY_START[name], _check_weight(args.n_max) + 1):
             lhs, rhs = identity_sides(name, n)
-            if lhs == rhs:
-                lines.append(f"{name} n={n}: {lhs} = {rhs} PASS")
-            else:
-                all_pass = False
-                lines.append(f"{name} n={n}: {lhs} != {rhs} FAIL")
+            all_pass = all_pass and lhs == rhs
+            lines.append(f"{name} n={n}: {lhs} = {rhs} PASS" if lhs == rhs
+                         else f"{name} n={n}: {lhs} != {rhs} FAIL")
     return "\n".join(lines), EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
@@ -159,7 +157,7 @@ def cmd_check_bijection(args) -> tuple[str, int]:
     if args.n is not None:
         ns = [_check_weight(args.n, MAX_AUDIT_N, "")]
     else:
-        _check_n_max(args, IDENTITY_START[theorem])
+        _check_min(args, "n_max", IDENTITY_START[theorem])
         ns = range(IDENTITY_START[theorem], _check_weight(args.n_max, MAX_AUDIT_N, "") + 1)
     lines = []
     all_ok = True
@@ -167,10 +165,9 @@ def cmd_check_bijection(args) -> tuple[str, int]:
         r = verify_t3(n) if theorem == "T3" else verify_bijection(theorem, n)
         status = "PASS" if r.ok else "FAIL"
         if theorem == "T3":
-            lines.append(
-                f"T3 n={n}: matching {r.blocks['odd-domain']} -> "
-                f"{r.blocks['odd-image']}, even {r.blocks['even-domain']} -> "
-                f"{r.blocks['poex']} {status}")
+            b = r.blocks
+            lines.append(f"T3 n={n}: matching {b['odd-domain']} -> {b['odd-image']}, "
+                         f"even {b['even-domain']} -> {b['poex']} {status}")
         else:
             word = "bijective" if r.injective and r.surjective else "NOT bijective"
             lines.append(f"{theorem} n={n}: domain {r.domain_size} = "
@@ -194,7 +191,8 @@ def cmd_series(args) -> tuple[str, int]:
 
 
 def cmd_selftest(args) -> tuple[str, int]:
-    _check_n_max(args, 0)
+    _check_min(args, "n_max", 0)
+    _check_min(args, "k_max", 1)
     _check_weight(args.n_max)
     order = args.order if args.order is not None else max(args.n_max, 1)
     _check_cap(order)

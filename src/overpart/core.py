@@ -338,19 +338,24 @@ _SIGNATURES: dict[Signature, Signature] = {}
 
 
 @lru_cache(maxsize=None)
-def _signature_of(odd_values: int, runs: int, parity: int, last=(0, 0, 1)) -> Signature:
-    """The :class:`Signature` of ``runs`` runs, ``odd_values`` of them of
-    odd value, with a part count of parity ``parity`` and last run
-    ``last`` (the default stands for no run, so no smallest plain part).
-    Each field is defined here once; :func:`signature` and the counting
-    walk in :mod:`overpart.enumeration` reduce runs to these totals."""
-    last_value, plain, over = last
+def _signature_of(odd_values: int, even_values: int, parity: int,
+                  last=(0, False, 0, 1)) -> Signature:
+    """The :class:`Signature` of runs with ``odd_values`` odd and
+    ``even_values`` even values, a part count of parity ``parity`` and
+    last run ``last``, given as ``(value & 1, value == 1, plain, over)``
+    (the default stands for no run, so no smallest plain part).  Each
+    field is defined here once.  The fields read the two totals only up
+    to 2 and the last value only through its parity and whether it is 1,
+    so callers pass ``min(total, 2)`` and that much of the value, and
+    runs that differ only beyond it share one cache entry;
+    :func:`signature` and the counting in :mod:`overpart.enumeration`
+    reduce runs to these keys."""
+    odd_last, one, plain, over = last
     k = 0 if over else plain
     # every other value has the opposite parity: odd s is the only odd
     # value, even s the only even one
-    opposite = k > 0 and odd_values == (1 if last_value & 1 else runs - 1)
-    sig = Signature(odd_values == 0, odd_values == runs,
-                    last_value == 1 and plain > 0, parity, k, opposite)
+    opposite = k > 0 and (odd_values if odd_last else even_values) == 1
+    sig = Signature(odd_values == 0, even_values == 0, one and plain > 0, parity, k, opposite)
     return _SIGNATURES.setdefault(sig, sig)
 
 
@@ -358,11 +363,13 @@ def signature(entries) -> Signature:
     """The interned :class:`Signature` of an overpartition, or of any
     canonical sequence of ``(value, plain, over)`` runs."""
     odd_values = parts = 0
-    for v, p, o in entries:
+    v, p, o = 0, 0, 1  # no last run, as in the empty overpartition
+    for v, p, o in entries:  # leaves (v, p, o) at the last run
         odd_values += v & 1
         parts += p + o
-    # the empty overpartition has no last run
-    return _signature_of(odd_values, len(entries), parts & 1, *entries[-1:])
+    even_values = len(entries) - odd_values
+    return _signature_of(odd_values if odd_values < 2 else 2, even_values if even_values < 2 else 2,
+                         parts & 1, (v & 1, v == 1, p, o))
 
 
 class Family(NamedTuple):

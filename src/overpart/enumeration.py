@@ -3,13 +3,24 @@ overpartitions, plus the identity checks built on those counts.
 
 Membership comes only from the family table in :mod:`overpart.core`:
 each overpartition is reduced to its :class:`~overpart.core.Signature`,
-and the table is evaluated once per distinct signature.  Counting walks
-the runs without building them: the walk follows the enumeration
-recursion and carries the number of odd values, the number of runs and
-the parity of the part count down to each completed overpartition,
-which yields its signature there, in enumeration order.  Signed counts
-are differences of the even and odd refinements.  All counts are exact
-Python integers (arbitrary precision).
+and the table is evaluated once per distinct signature.  Listing walks
+the runs in enumeration order and carries each overpartition's run
+state down to it: the number of odd values and the number of even
+values, each capped at 2, and the parity of the part count, which is
+all a signature reads of the runs above the last one.
+
+Counting lists nothing (Andrews, "The number of smallest parts in the
+partitions of n", 2008; Corteel and Lovejoy, "Overpartitions", 2004).
+A memo counts, by run state, the overpartitions of m whose parts all
+exceed s, for every m and s up to the largest weight asked for; it is
+filled without recursion and shared by every weight.  Each
+overpartition of n is its smallest run (t parts of value v, the first
+plain or overlined) above an overpartition of n - v*t with parts above
+v, so the memo gives how many overpartitions of n have each signature.
+Each distinct signature then adds its multiplicity to the columns it
+counts in, with sign -1 in a -prime column for the odd refinement, so a
+signed count is the even refinement's count minus the odd one's.  All
+counts are exact Python integers (arbitrary precision).
 
 Enumeration order
 -----------------
@@ -33,7 +44,7 @@ each row gives the first n the identity holds for, its left-hand terms
 and its right-hand terms, and a term ``(c, token, offset)`` stands for
 ``c * token(n + offset)``.  ``IDENTITIES`` and ``IDENTITY_START`` are
 read from the table, and ``identity_sides`` sums each side term by
-term from :func:`count_profile`.  For example T2 is
+term from the counts of each term's weight.  For example T2 is
 
     spt1o(n) + spt1o(n-2) = 2*pe(n-1) + poex(n-1)      (n > 2)
 
@@ -61,70 +72,65 @@ __all__ = [
 # annotated enumerations are memoized up to this weight; audits and
 # repeated family lookups stay below it, one-shot sweeps above it stream.
 # _annotated_cache[n] holds the overpartitions of n in enumeration order
-# and _signatures[n] their signatures, aligned by index; both are filled
-# together, so n in _annotated_cache means _signatures[n] is current.
-# Every enumerated signature comes from _walk, which follows the runs
-# without building them
+# and _signatures[n] their signatures, aligned by index; both come from
+# one walk of _runs and are filled together, so n in _annotated_cache
+# means _signatures[n] is current
 _CACHE_LIMIT = 25
 _annotated_cache: dict[int, tuple[OverPartition, ...]] = {}
 _signatures: dict[int, tuple[Signature, ...]] = {}
 
-
-def _runs(remaining: int, cap: int):
-    # raw entry tuples, recursion documented in the module docstring
-    if remaining == 0:
-        yield ()
-        return
-    for v in range(min(remaining, cap), 0, -1):
-        for total in range(remaining // v, 0, -1):
-            head_plain = (v, total, 0)
-            head_over = (v, total - 1, 1)
-            for tail in _runs(remaining - v * total, v - 1):
-                yield (head_plain,) + tail
-                yield (head_over,) + tail
+# the run state of a set of runs: its numbers of odd and of even values,
+# each capped at 2, and the parity of its part count, which is all that
+# _signature_of reads of the runs above the last; _ABOVE[m][s] counts by
+# state the overpartitions of m whose parts all exceed s (s <= m), one
+# row per m, shared by every weight
+_ABOVE: list[list[Counter]] = []
 
 
-def _walk(remaining: int, cap: int, odd_values=0, runs=0, parity=0):
-    # the signatures of the overpartitions made of earlier runs with these
-    # totals followed by one of _runs(remaining, cap), in _runs order; the
-    # two variants of a head have the same totals, so they share each
-    # tail's signature, and differ only as the last run, with no tail
+def _runs(remaining: int, cap: int, odd=0, even=0, parity=0):
+    # each way to follow earlier runs with these run-state totals by runs
+    # of weight remaining and values up to cap, in the order of the module
+    # docstring: its runs, and the signature of the whole overpartition.
+    # The two variants of a head share each tail's signature, and differ
+    # only as the last run, with no tail
     if not remaining:  # n = 0: the empty overpartition
-        yield signature(())
+        yield (), signature(())
     for v in range(min(remaining, cap), 0, -1):
-        odd, r = odd_values + (v & 1), runs + 1
+        o, e = min(odd + (v & 1), 2), min(even + 1 - (v & 1), 2)
         for total in range(remaining // v, 0, -1):
             rest, p = remaining - v * total, parity ^ (total & 1)
+            head_plain, head_over = (v, total, 0), (v, total - 1, 1)
             if rest:
-                for sig in _walk(rest, v - 1, odd, r, p):
-                    yield sig
-                    yield sig
+                for tail, sig in _runs(rest, v - 1, o, e, p):
+                    yield (head_plain,) + tail, sig
+                    yield (head_over,) + tail, sig
             else:
-                yield _signature_of(odd, r, p, (v, total, 0))
-                yield _signature_of(odd, r, p, (v, total - 1, 1))
+                yield (head_plain,), _signature_of(o, e, p, (v & 1, v == 1, total, 0))
+                yield (head_over,), _signature_of(o, e, p, (v & 1, v == 1, total - 1, 1))
 
 
-def _entries(n: int, walk=_runs):
-    # the runs of every overpartition of n, or with walk=_walk their
-    # signatures, in enumeration order
+def _weight(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return walk(n, n)
+    return n
 
 
 def overpartitions(n: int) -> Iterator[OverPartition]:
     """Yield every overpartition of ``n`` once, in the documented order."""
     # the runs are canonical by construction, so nothing is revalidated,
     # and each object holds the run tuples _runs shares across its tails
-    return map(_canonical, _entries(n))
+    return (_canonical(runs) for runs, _ in _runs(_weight(n), n))
 
 
 def _annotated(n: int) -> Iterable[tuple[OverPartition, Signature]]:
     if n > _CACHE_LIMIT:
-        return zip(overpartitions(n), _entries(n, _walk))
+        return ((_canonical(runs), sig) for runs, sig in _runs(n, n))
     if n not in _annotated_cache:
-        _signatures[n] = tuple(_entries(n, _walk))
-        _annotated_cache[n] = tuple(overpartitions(n))
+        pis, sigs = [], []
+        for runs, sig in _runs(_weight(n), n):
+            pis.append(_canonical(runs))
+            sigs.append(sig)
+        _signatures[n], _annotated_cache[n] = tuple(sigs), tuple(pis)
     return zip(_annotated_cache[n], _signatures[n])
 
 
@@ -144,24 +150,62 @@ def family_elements(fam: FamilySpec, n: int) -> tuple[OverPartition, ...]:
     return tuple(members)
 
 
+def _above(m: int, s: int) -> Counter:
+    # _ABOVE[m][s], after filling every row up to m.  Rows go by m
+    # ascending and each row by s descending, so every entry reads filled
+    # ones only: at s = m there is only the empty overpartition of 0, and
+    # the entry for s = v - 1 is the one for s = v plus the overpartitions
+    # whose smallest run has value v, each with a plain or an overlined head
+    while len(_ABOVE) <= m:
+        row = [Counter({(0, 0, 0): 1} if not _ABOVE else ())]
+        for v in range(len(_ABOVE), 0, -1):
+            row.append(Counter(row[-1]))
+            for _, _, state, count in _smallest_runs(len(_ABOVE), (v,)):
+                row[-1][state] += 2 * count
+        _ABOVE.append(row[::-1])
+    return _ABOVE[m][min(s, m)]
+
+
+def _smallest_runs(m: int, values: Iterable[int]):
+    # (v, t, state, count): the overpartitions of m whose smallest run is t
+    # parts of value v, for each v in values, with one head variant,
+    # counted by the state of all their runs
+    for v in values:
+        for t in range(1, m // v + 1):
+            for (odd, even, parity), count in _above(m - v * t, v).items():
+                yield v, t, (min(odd + v % 2, 2), min(even + 1 - v % 2, 2), parity ^ t % 2), count
+
+
+def _signature_counts(n: int) -> Counter:
+    # how many overpartitions of n have each signature, from the run
+    # states alone: no overpartition is built or walked
+    sigs = Counter({signature(()): 1} if _weight(n) == 0 else ())
+    for v, t, (odd, even, parity), count in _smallest_runs(n, range(1, n + 1)):
+        sigs[_signature_of(odd, even, parity, (v & 1, v == 1, t, 0))] += count
+        sigs[_signature_of(odd, even, parity, (v & 1, v == 1, t - 1, 1))] += count
+    return sigs
+
+
+@lru_cache(maxsize=None)
+def _tokens_of(sig: Signature) -> tuple[tuple[str, int], ...]:
+    # (column, sign) for every column an overpartition with this signature
+    # counts in: +1 in each family it belongs to, and +1 or -1 in the
+    # -prime column of a signed family whose even or odd refinement it
+    # belongs to; a parametric family can only hold at k = sig.k
+    k = max(sig.k, 1)
+    held = [fid for fid in FAMILY_IDS if member(sig, FamilySpec(fid, k))]
+    return tuple([(FamilySpec(fid, k).token, 1) for fid in held] + [
+        (FamilySpec(fid, k).token + "-prime", sign) for fid, halves in SIGNED_REFINEMENTS.items()
+        for half, sign in zip(halves, (1, -1)) if half in held])
+
+
 @lru_cache(maxsize=None)
 def _token_counts(n: int) -> Counter:
-    # the signatures of weight n, from the annotated cache when it holds n
-    # (an audit has just enumerated it), else from one walk over the runs;
-    # then the family table once per distinct signature; a parametric
-    # family can only hold at k = sig.k
-    sigs = _signatures[n] if n in _annotated_cache else _entries(n, _walk)
+    # every column at weight n, each signature's multiplicity added to the
+    # columns it counts in (each column at most once per signature)
     counts = Counter()
-    for sig, mult in Counter(sigs).items():
-        for fid in FAMILY_IDS:
-            fam = FamilySpec(fid, max(sig.k, 1))
-            if member(sig, fam):
-                counts[fam.token] += mult
-    # each -prime column is its even refinement minus its odd one
-    for fid, (even, odd) in SIGNED_REFINEMENTS.items():
-        for k in range(1, max(n, 1) + 1):
-            counts[FamilySpec(fid, k).token + "-prime"] = (
-                counts[FamilySpec(even, k).token] - counts[FamilySpec(odd, k).token])
+    for sig, mult in _signature_counts(n).items():
+        counts.update({token: sign * mult for token, sign in _tokens_of(sig)})
     return counts
 
 
@@ -187,7 +231,7 @@ def count_profile(n: int, k_max: int = 1) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# identities between the counting functions, each checked by enumeration
+# identities between the counting functions, each checked by exact counts
 # ---------------------------------------------------------------------------
 
 # identity -> (first n, left-hand terms, right-hand terms); a term
@@ -208,21 +252,16 @@ IDENTITIES = tuple(_IDENTITY_TABLE)
 IDENTITY_START = {name: row[0] for name, row in _IDENTITY_TABLE.items()}
 
 
-def _side(terms, n: int) -> int:
-    # one count_profile call per term, in table order, looked up at call
-    # time so that a wrapper on the module attribute sees every call
-    return sum(c * count_profile(n + offset)[token] for c, token, offset in terms)
-
-
 def identity_sides(identity: str, n: int) -> tuple[int, int]:
-    """Left and right side of one identity at ``n``, both by enumeration,
+    """Left and right side of one identity at ``n``, both exact counts,
     summed term by term from the identity table."""
     if identity not in _IDENTITY_TABLE:
         raise ValueError(f"unknown identity {identity!r}")
     start, lhs, rhs = _IDENTITY_TABLE[identity]
     if n < start:
         raise ValueError(f"{identity} holds for n > {start - 1}")
-    return _side(lhs, n), _side(rhs, n)
+    return tuple(sum(c * _token_counts(n + offset)[token] for c, token, offset in terms)
+                 for terms in (lhs, rhs))
 
 
 def derivation_sides(n: int) -> dict[str, tuple[int, int]]:
@@ -230,9 +269,8 @@ def derivation_sides(n: int) -> dict[str, tuple[int, int]]:
 
     The sum of the T4e and T4o identities must reproduce T2 and their
     difference must reproduce T3, using only the refined counts be1,
-    bo1, ce, co, and pe.  Returns the two (lhs, rhs) pairs.
+    bo1, ce, co, and pe.  Returns the two (lhs, rhs) pairs; n starts
+    where T4e and T4o do.
     """
-    if n < 3:
-        raise ValueError("defined for n > 2")
     (be, even), (bo, odd) = identity_sides("T4e", n), identity_sides("T4o", n)
     return {"sum": (be + bo, even + odd), "difference": (be - bo, even - odd)}

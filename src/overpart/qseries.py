@@ -109,13 +109,10 @@ def _shifted_sum(suffix_for, k: int, order: int) -> Series:
 
 
 def _halved(plus: Series, minus: Series, even_half: bool) -> Series:
-    out = []
-    for a, b in zip(plus.coeffs, minus.coeffs):
-        tot = a + b if even_half else a - b
-        if tot % 2:
-            raise ArithmeticError("signed decomposition produced an odd total")
-        out.append(tot // 2)
-    return Series(plus.order, tuple(out))
+    totals = [a + b if even_half else a - b for a, b in zip(plus.coeffs, minus.coeffs)]
+    if any(tot % 2 for tot in totals):
+        raise ArithmeticError("signed decomposition produced an odd total")
+    return Series(plus.order, tuple(tot // 2 for tot in totals))
 
 
 def family_series(fam: FamilySpec, order: int, z: int = 1) -> Series:
@@ -131,10 +128,8 @@ def family_series(fam: FamilySpec, order: int, z: int = 1) -> Series:
     if z == -1 and fam.id not in SIGNED_REFINEMENTS:
         raise ValueError(f"family {fam.token!r} has no signed statistic; z=-1 invalid")
     fid = fam.id
-    if fid == PBAR:
-        return _suffix_products(order, z, "all")[0]
-    if fid == PE:
-        return _suffix_products(order, z, "even")[0]
+    if fid in (PBAR, PE):
+        return _suffix_products(order, z, "all" if fid == PBAR else "even")[0]
     if fid in (PEX, POEX):
         # value 1 may appear only overlined; every value >= 2 (PEX) or
         # every odd value >= 3 (POEX) is free

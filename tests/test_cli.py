@@ -5,6 +5,7 @@ import pytest
 
 import overpart.bijections as bijections
 import overpart.cli as cli
+import overpart.enumeration as enumeration
 import overpart.qseries as qseries
 from overpart.cli import MAX_AUDIT_N, MAX_N, MAX_ORDER, main
 from overpart.enumeration import profile_tokens
@@ -500,6 +501,47 @@ class TestSelftest:
                                     small[2])
         assert "selftest PASS" in out
         assert built == profile_tokens(3)
+
+    @pytest.mark.parametrize("k_max", ["0", "-2"])
+    def test_k_max_below_1_rejected(self, capsys, monkeypatch, k_max):
+        # selftest --k-max -2 used to print "selftest PASS: ... k <= -2"
+        monkeypatch.setattr(cli, "cross_check", lambda *args: pytest.fail("cross-checked"))
+        assert run(capsys, "selftest", "--n-max", "5", "--k-max", k_max) == (
+            2, "", f"error: --k-max {k_max} checks nothing; selftest needs --k-max >= 1\n"
+                   "run 'overpart selftest --help' for usage\n")
+
+
+class TestCountingWalksNothing:
+    # count, table and verify at the cap read the run-state memo: cold
+    # counts with the run walk and the listing disabled
+
+    @pytest.fixture(autouse=True)
+    def no_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("walked the runs")
+
+        enumeration._token_counts.cache_clear()
+        monkeypatch.setattr(enumeration, "_runs", refuse)
+        monkeypatch.setattr(enumeration, "overpartitions", refuse)
+
+    def test_count_at_cap(self, capsys):
+        assert run(capsys, "count", "pbar", str(MAX_N)) == (0, "1967696\n", "")
+
+    def test_table_at_cap_equals_the_series(self, capsys):
+        tokens = profile_tokens(4)
+        code, out, err = run(capsys, "table", "--families", ",".join(tokens),
+                             "--n-max", str(MAX_N), "--format", "csv")
+        assert (code, err) == (0, "")
+        columns = [qseries.series_for_token(tok, MAX_N).coeffs for tok in tokens]
+        assert out.splitlines()[1:] == [f"{n}," + ",".join(str(c[n]) for c in columns)
+                                        for n in range(MAX_N + 1)]
+
+    def test_verify_all_at_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "ALL", "--n-max", str(MAX_N))
+        lines = out.splitlines()
+        assert (code, err) == (0, "")
+        assert len(lines) == (MAX_N - 1) + 4 * (MAX_N - 2)
+        assert all(line.endswith(" PASS") for line in lines)
 
 
 # one shape of each command and output format, each with a small n

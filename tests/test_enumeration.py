@@ -1,16 +1,21 @@
 import gc
+import inspect
+import sys
+from collections import Counter
 
 import pytest
 
 import overpart.enumeration as enumeration
 from overpart.core import (
-    BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SPTK, SPTKO, FamilySpec,
-    OverPartition, parse, parse_family_token, signature,
+    BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SIGNED_REFINEMENTS, SPTK, SPTKO,
+    FamilySpec, OverPartition, _signature_of, parse, parse_family_token,
+    signature,
 )
 from overpart.enumeration import (
     IDENTITIES, IDENTITY_START, count_many, count_profile, derivation_sides,
-    family_elements, identity_sides, overpartitions,
+    family_elements, identity_sides, overpartitions, profile_tokens,
 )
+from overpart.qseries import family_series
 
 # pbar(n) for n = 0..18 (OEIS A015128)
 PBAR_0_18 = [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232, 344, 504, 728, 1040,
@@ -71,12 +76,15 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(19))
     def test_walk_yields_the_signatures_of_the_runs(self, n):
-        # element by element, in enumeration order
-        walked = list(enumeration._entries(n, enumeration._walk))
-        assert walked == list(map(signature, enumeration._entries(n)))
+        # element by element, in enumeration order: one walk yields each
+        # overpartition's runs beside the signature it carried down to them
+        walked = list(enumeration._runs(n, n))
+        sigs = [sig for _, sig in walked]
+        assert sigs == [signature(runs) for runs, _ in walked]
+        assert [runs for runs, _ in walked] == list(overpartitions(n))
         assert len(walked) == PBAR_0_18[n]
         # interned: equal signatures are one object
-        assert len(set(map(id, walked))) == len(set(walked))
+        assert len(set(map(id, sigs))) == len(set(sigs))
 
 
 class TestFamilyStreams:
@@ -155,22 +163,72 @@ class TestCounts:
 
     @pytest.mark.parametrize("n", range(15))
     def test_token_counts_read_the_annotated_cache(self, monkeypatch, n):
-        def clear_caches():
-            enumeration._token_counts.cache_clear()
-            enumeration.family_elements.cache_clear()
-            enumeration._annotated_cache.clear()
-
-        clear_caches()
-        from_runs = enumeration._token_counts(n)
-        clear_caches()
-        family_elements(FamilySpec(PBAR), n)  # fills the annotated cache at n
+        # every column counted from the family listings of the annotated
+        # cache, against the run-state memo with the walk and the listing
+        # disabled: the counts agree with the cache and enumerate nothing
+        tokens = profile_tokens(max(n, 1))
+        listed = {}
+        for tok in tokens:
+            fam, signed = parse_family_token(tok)
+            halves = SIGNED_REFINEMENTS[fam.id] if signed else (fam.id,)
+            listed[tok] = sum(sign * len(family_elements(FamilySpec(half, fam.k), n))
+                              for half, sign in zip(halves, (1, -1)))
         assert n in enumeration._annotated_cache
+        enumeration._token_counts.cache_clear()
 
-        def no_enumeration(*args):
-            raise AssertionError("enumerated a weight the cache holds")
+        def no_walk(*args):
+            raise AssertionError("walked the runs")
 
-        monkeypatch.setattr(enumeration, "_entries", no_enumeration)
-        assert enumeration._token_counts(n) == from_runs
+        monkeypatch.setattr(enumeration, "_runs", no_walk)
+        monkeypatch.setattr(enumeration, "overpartitions", no_walk)
+        assert count_profile(n, max(n, 1)) == listed
+
+
+class TestRunStateMemo:
+    @pytest.mark.parametrize("n", range(31))
+    def test_multiplicities_equal_the_walk(self, n):
+        walked = Counter(sig for _, sig in enumeration._runs(n, n))
+        assert enumeration._signature_counts(n) == walked
+
+    def test_profile_at_100_equals_the_series(self):
+        # two independent oracles past the enumeration range: the memo
+        # counts every column, family_series gives its q^100 coefficient
+        # (at z = -1 for the -prime columns)
+        prof = count_profile(100, 2)
+        assert prof["pbar"] > 10 ** 10
+        for tok, value in prof.items():
+            fam, signed = parse_family_token(tok)
+            assert value == family_series(fam, 100, -1 if signed else 1).coefficient(100), tok
+
+    def test_memo_fills_without_recursion(self, monkeypatch):
+        # cold, from a stack with 40 frames left under the default limit:
+        # a recursive fill to n = 120 would need about 120
+        monkeypatch.setattr(enumeration, "_ABOVE", [])
+        enumeration._token_counts.cache_clear()
+        expected = family_series(FamilySpec(PBAR), 120).coefficient(120)
+
+        def deep(frames):
+            return deep(frames - 1) if frames else count_profile(120)["pbar"]
+
+        depth = len(inspect.stack(0))
+        try:
+            assert deep(sys.getrecursionlimit() - depth - 40) == expected
+        finally:
+            enumeration._token_counts.cache_clear()
+
+    def test_signature_cache_keyed_by_value_class(self):
+        # last runs that differ only in a value of the same class (same
+        # parity, neither is 1), or in odd or even totals past 2, share
+        # one entry of _signature_of's cache
+        for first, second in (("6,4", "8,2"), ("6,3", "8,5"),
+                              ("9,7,5,3", "7,7,5,3"), ("8,6,6,4o", "10,8,6,4o")):
+            _signature_of.cache_clear()  # signatures stay interned
+            signature(parse(first))
+            size = _signature_of.cache_info().currsize
+            assert signature(parse(second)) is signature(parse(first))
+            assert _signature_of.cache_info().currsize == size, (first, second)
+        # a last value of 1 is its own class
+        assert signature(parse("6,1")) != signature(parse("6,3"))
 
 
 class TestSignedCounts:
