@@ -25,8 +25,9 @@ from .qseries import cross_check, series_for_token
 
 DEFAULT_ORDER = 200
 # series tables hold O(order^2) integers; at this order the heaviest
-# token (be1, four parity tables) takes about 3.3 s and 430 MiB, and
-# selftest (every table and k <= 4) about 12 s and 690 MiB
+# token (be1, four parity tables) takes about 2.9 s and 430 MiB, and
+# selftest (every table and k <= 4) about 9 s and 690 MiB (fresh
+# process, one core, Python 3.11)
 MAX_ORDER = 4000
 # count, table, verify and selftest count from a memo of run states and
 # list no overpartition; at this cap, where pbar(42) = 1,967,696, verify

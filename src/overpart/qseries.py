@@ -18,8 +18,12 @@ coefficients of q^0 .. q^order.  Products are never formed densely.
 ``_times_part_factor`` multiplies a coefficient list by one factor in
 place: it divides by (1 - z*q^j) with an ascending running sum, then
 multiplies by (1 + z*q^j), each a few slice-wide integer additions.
-One factor costs O(order) additions, so a table of suffix products over
-every part value costs O(order^2).
+A suffix product over part values above s is 1 plus terms above q^s.
+On such an input both steps only add z*c[0] at q^j below q^(2j), so
+the factor adds that twice and slices from q^(2j): 2*(order - 2j)
+additions instead of 2*(order - j), and a table of suffix products over
+every part value costs about order^2 / 2 of them.  Sums of shifted
+suffix products skip the same zero band.
 """
 
 from __future__ import annotations
@@ -55,54 +59,57 @@ class Series:
         return self.coeffs[n]
 
 
-def _times_numerator(coeffs: list[int], j: int, z: int) -> None:
-    # coeffs *= 1 + z*q^j in place; the right-hand slices are copies, so
-    # every term reads the coefficient from before the update
-    coeffs[j:] = map(add if z == 1 else sub, coeffs[j:], coeffs[:-j])
-
-
 def _times_part_factor(coeffs: list[int], j: int, z: int) -> None:
     """coeffs *= (1 + z*q^j)/(1 - z*q^j) in place, truncated at the
     list's length."""
     op = add if z == 1 else sub
+    # zero band (q^1 .. q^j all 0): below q^(2j) the divide adds only
+    # z*c[0] at q^j, so the blocks and the numerator start at q^(2j)
+    lo = 2 * j if j < len(coeffs) and not any(coeffs[1:j + 1]) else j
+    if lo > j:
+        coeffs[j] = op(coeffs[j], coeffs[0])
     # divide by 1 - z*q^j: c[i] += z*c[i-j], ascending one block of j at a
     # time so each block reads the already divided block below it
-    for lo in range(j, len(coeffs), j):
-        coeffs[lo:lo + j] = map(op, coeffs[lo:lo + j], coeffs[lo - j:lo])
-    _times_numerator(coeffs, j, z)
+    for b in range(lo, len(coeffs), j):
+        coeffs[b:b + j] = map(op, coeffs[b:b + j], coeffs[b - j:b])
+    # times 1 + z*q^j; the right-hand slices are copies, so every term
+    # reads the coefficient from before the update
+    coeffs[lo:] = map(op, coeffs[lo:], coeffs[lo - j:-j])
+    if lo > j:
+        # and the numerator's z*c[0] at q^j, read after the slice
+        coeffs[j] = op(coeffs[j], coeffs[0])
 
 
 @lru_cache(maxsize=16)
-def _suffix_products(order: int, z: int, parity: str) -> tuple[Series, ...]:
-    """prods[s] = product of (1 + z*q^j)/(1 - z*q^j) over j > s, truncated
-    at q^order, with j restricted by parity ("all", "odd", or "even").
+def _suffix_products(order: int, z: int, parity: str) -> tuple[tuple[int, ...], ...]:
+    """prods[s] = coefficients of the product of (1 + z*q^j)/(1 - z*q^j)
+    over j > s, truncated at q^order, with j restricted by parity ("all",
+    "odd", or "even").
 
     One running coefficient list is updated in place from j = order down
-    to 1, and a snapshot is taken after each factor: O(order) additions
-    per factor, O(order^2) for the table.  Consecutive entries that no
-    factor separates share one ``Series``."""
+    to 1, and a tuple snapshot is taken after each factor.  Entry s is 1
+    plus terms above q^s, the zero band ``_times_part_factor`` and
+    ``_shifted_sum`` skip.  Consecutive entries that no factor separates
+    share one tuple."""
     acc = [1] + [0] * order
-    prods = [Series(order, tuple(acc))] * (order + 1)
-    for s in range(order - 1, -1, -1):
-        j = s + 1
-        if parity == "all" or (j & 1) == (1 if parity == "odd" else 0):
+    prods = [tuple(acc)] * (order + 1)
+    for j in range(order, 0, -1):
+        if parity == "all" or j % 2 == (parity == "odd"):
             _times_part_factor(acc, j, z)
-            prods[s] = Series(order, tuple(acc))
+            prods[j - 1] = tuple(acc)
         else:
-            prods[s] = prods[s + 1]
+            prods[j - 1] = prods[j]
     return tuple(prods)
 
 
 def _shifted_sum(suffix_for, k: int, order: int) -> Series:
-    # sum over s >= 1 of q^(k*s) * suffix_for(s); terms with k*s > order vanish
+    # sum over s >= 1 of q^(k*s) * suffix_for(s); terms with k*s > order
+    # vanish, and suffix_for(s) is 1 plus terms above q^s
     out = [0] * (order + 1)
     for s in range(1, order // k + 1):
         base = k * s
-        ps = suffix_for(s).coeffs
-        for i in range(order - base + 1):
-            c = ps[i]
-            if c:
-                out[base + i] += c
+        out[base] += 1
+        out[base + s + 1:] = map(add, out[base + s + 1:], suffix_for(s)[s + 1:order - base + 1])
         # the k plain copies of s carry no z weight: only parts above s
         # (SPTKO) or all parts (POEX) are signed
     return Series(order, tuple(out))
@@ -125,18 +132,18 @@ def family_series(fam: FamilySpec, order: int, z: int = 1) -> Series:
     """
     if z not in (1, -1):
         raise ValueError("z must be +1 or -1")
+    if order < 1:
+        raise ValueError("order must be >= 1")
     if z == -1 and fam.id not in SIGNED_REFINEMENTS:
         raise ValueError(f"family {fam.token!r} has no signed statistic; z=-1 invalid")
     fid = fam.id
     if fid in (PBAR, PE):
-        return _suffix_products(order, z, "all" if fid == PBAR else "even")[0]
+        return Series(order, _suffix_products(order, z, "all" if fid == PBAR else "even")[0])
     if fid in (PEX, POEX):
-        # value 1 may appear only overlined; every value >= 2 (PEX) or
-        # every odd value >= 3 (POEX) is free
+        # value 1 may appear only overlined, a factor 1 + z*q; every value
+        # >= 2 (PEX) or every odd value >= 3 (POEX) is free
         above_one = _suffix_products(order, z, "all" if fid == PEX else "odd")[1]
-        coeffs = list(above_one.coeffs)
-        _times_numerator(coeffs, 1, z)
-        return Series(order, tuple(coeffs))
+        return Series(order, (above_one[0], *map(add if z == 1 else sub, above_one[1:], above_one)))
     if fid == SPTK:
         suffix = _suffix_products(order, z, "all")
         return _shifted_sum(lambda s: suffix[s], fam.k, order)

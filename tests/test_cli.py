@@ -381,6 +381,16 @@ class TestSeries:
         assert (code, err) == (0, "")
         assert MAX_ORDER in seen[0]
 
+    @pytest.mark.parametrize("order", ["0", "-1", "-5"])
+    @pytest.mark.parametrize("token", list(dict.fromkeys(
+        profile_tokens(4) + ["pbar", "pe", "pex", "poex", "ce", "co", "poex-prime"])))
+    def test_order_below_1_rejected_before_any_table(self, capsys, monkeypatch, token, order):
+        monkeypatch.setattr(qseries, "_suffix_products", lambda *args: pytest.fail("built"))
+        code, out, err = run(capsys, "series", token, "--order", order)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: order must be >= 1\n")
+        assert "Traceback" not in err
+
 
 # every command that counts by enumeration, with n in place of its weight
 ENUMERATING = [
@@ -478,6 +488,12 @@ class TestSelftest:
     def test_n0(self, capsys):
         code, out, _ = run(capsys, "selftest", "--n-max", "0", "--k-max", "1")
         assert code == 0
+
+    def test_order_0_rejected(self, capsys):
+        code, out, err = run(capsys, "selftest", "--n-max", "0", "--order", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: order must be >= 1\n")
+        assert "Traceback" not in err
 
     def test_order_too_small(self, capsys):
         code, _, err = run(capsys, "selftest", "--n-max", "10", "--order", "4")

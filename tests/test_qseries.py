@@ -261,3 +261,42 @@ class TestInPlaceEngine:
             fam, signed = parse_family_token(token)
             z = -1 if signed else 1
             assert list(family_series(fam, order, z).coeffs) == _dense_series(fam, order, z), token
+
+
+class TestZeroBand:
+    # a suffix product over part values above s is 1 plus terms above q^s;
+    # on that shape the primitive adds z*c[0] at q^j and slices from q^(2j)
+
+    @staticmethod
+    def _suffix_shape(j, n):
+        return [1] + [0] * j + [(-1) ** i * (10 ** 30 + 7 ** i) for i in range(j + 1, n + 1)]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_suffix_shape_matches_dense_product(self, n):
+        for j in range(1, n + 1):
+            for z in (1, -1):
+                coeffs = self._suffix_shape(j, n)
+                got = list(coeffs)
+                qseries._times_part_factor(got, j, z)
+                assert got == _mul(coeffs, _factor(j, z, n)), (j, z)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_nonzero_band_matches_dense_product(self, n):
+        # one nonzero coefficient anywhere in q^1 .. q^j takes the full path
+        for j in range(1, n + 1):
+            for p in range(1, j + 1):
+                for z in (1, -1):
+                    coeffs = self._suffix_shape(j, n)
+                    coeffs[p] = -3 * 10 ** 25 - p
+                    got = list(coeffs)
+                    qseries._times_part_factor(got, j, z)
+                    assert got == _mul(coeffs, _factor(j, z, n)), (j, p, z)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 7, 30])
+    def test_suffix_entries_are_one_then_zero_to_q_s(self, order):
+        for z in (1, -1):
+            for parity in ("all", "odd", "even"):
+                prods = qseries._suffix_products(order, z, parity)
+                assert len(prods) == order + 1
+                for s, entry in enumerate(prods):
+                    assert entry[:s + 1] == (1,) + (0,) * s, (z, parity, s)
