@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 from .core import (
     BEK, BOK, CE, CO, PE, PEX, POEX, SPTK, SPTKO,
-    FamilySpec, OverPartition, Stats, is_member, stats, why_not_member,
+    FamilySpec, OverPartition, Stats, _weighed_signature, member, stats, why_not_member,
 )
 from .enumeration import IDENTITY_START, family_elements, identity_sides
 
@@ -166,7 +166,9 @@ class VerificationReport:
     membership, or sign contract; ``problems`` carries any other
     failure descriptions (coverage gaps, unexpected exceptions).
     ``blocks`` reports the audited block sizes, e.g. per-component
-    image and codomain cardinalities.
+    image and codomain cardinalities.  ``traces`` holds the map
+    applications the audit made, in domain enumeration order: those of
+    :func:`all_traces`, less any that raised (reported in ``problems``).
     """
 
     theorem: str
@@ -178,6 +180,7 @@ class VerificationReport:
     contract_violations: list[MapTrace] = field(default_factory=list)
     problems: list[str] = field(default_factory=list)
     blocks: dict[str, int] = field(default_factory=dict)
+    traces: list[MapTrace] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -187,13 +190,12 @@ class VerificationReport:
 
 
 def _require(pi: OverPartition, fam: FamilySpec, weight: int, role: str):
-    if pi.weight != weight:
+    got, sig = _weighed_signature(pi)
+    if got != weight:
+        raise PreconditionError(f"{role}: {pi} has weight {got}, expected {weight}")
+    if not member(sig, fam):
         raise PreconditionError(
-            f"{role}: {pi} has weight {pi.weight}, expected {weight}")
-    reason = why_not_member(pi, fam)
-    if reason is not None:
-        raise PreconditionError(
-            f"{role}: {pi} is not in {fam.token}({weight}): {reason}")
+            f"{role}: {pi} is not in {fam.token}({weight}): {why_not_member(pi, fam)}")
 
 
 def _flip(st_in: Stats, out: OverPartition, target_tag: str) -> bool:
@@ -360,13 +362,12 @@ def _audit_trace(theorem: str, pi: OverPartition, source_tag: str,
     return map_t3_even(pi, source_tag, n) if s % 2 == 0 else None
 
 
-def _audit(theorem: str, n: int) -> tuple[VerificationReport, list[MapTrace]]:
+def _audit(theorem: str, n: int) -> VerificationReport:
     # weight, membership and (if asked) sign flip of every image, injectivity
     # across the tagged codomain, exact coverage of every component
     fam, low, components, flips = _audit_row(theorem, n)
     targets = {tag: _TARGETS[tag] for tag in components}
     report = VerificationReport(theorem, n, 0, 0, True, True)
-    traces = []
     unmapped = {}  # (family, offset) of a summand -> elements left unmapped
     for tag in (SOURCE_N, low):
         elements = family_elements(fam, n + _OFFSET[tag])
@@ -381,14 +382,14 @@ def _audit(theorem: str, n: int) -> tuple[VerificationReport, list[MapTrace]]:
             if tr is None:
                 left.append(pi)
                 continue
-            traces.append(tr)
+            report.traces.append(tr)
             target = targets.get(tr.target_tag)
-            if (target is None or tr.output.weight != n + target[1]
-                    or not is_member(tr.output, target[0])
+            weight, sig = _weighed_signature(tr.output)
+            if (target is None or weight != n + target[1] or not member(sig, target[0])
                     or flips and not tr.sign_flip):
                 report.contract_violations.append(tr)
         report.domain_size += len(elements) - len(left)
-    images = [(t.target_tag, t.output) for t in traces]
+    images = [(t.target_tag, t.output) for t in report.traces]
     report.injective = len(set(images)) == len(images) and not report.problems
     for comp, (comp_fam, offset, _) in targets.items():
         left = unmapped.get((comp_fam, offset))
@@ -404,7 +405,7 @@ def _audit(theorem: str, n: int) -> tuple[VerificationReport, list[MapTrace]]:
                 f"component {comp}: hit {matched} of {len(want)} elements"
                 + (f"; {len(strays)} images outside it, e.g. {'; '.join(strays[:3])}"
                    if strays else ""))
-    return report, traces
+    return report
 
 
 def all_traces(theorem: str, n: int) -> list[MapTrace]:
@@ -437,12 +438,12 @@ def _invert(report: VerificationReport, mu: OverPartition, n: int,
     return back
 
 
-def _t1_round_trip(report: VerificationReport, traces: list[MapTrace], n: int) -> None:
+def _t1_round_trip(report: VerificationReport, n: int) -> None:
     # inverse(forward(pi)) == pi for every trace and forward(inverse(mu)) == mu
     # for every mu in pex(n), inverting each element once; when the inverse
     # of mu is the input of the trace onto mu, that trace is its forward image
     by_output, rest = {}, []
-    for tr in traces:
+    for tr in report.traces:
         if by_output.setdefault(tr.output, tr) is not tr:
             rest.append(tr)  # a second trace onto the same output
     for mu in family_elements(_PEX, n):
@@ -473,9 +474,9 @@ def verify_bijection(theorem: str, n: int) -> VerificationReport:
     raised."""
     if theorem == "T3":
         raise ValueError("no bijection audit for 'T3' (T3 has its own)")
-    report, traces = _audit(theorem, n)
+    report = _audit(theorem, n)
     if theorem == "T1":
-        _t1_round_trip(report, traces, n)
+        _t1_round_trip(report, n)
     return report
 
 
@@ -494,9 +495,9 @@ def verify_t3(n: int) -> VerificationReport:
     even-s elements); ``codomain_size`` the matched targets plus
     poex(n-1).
     """
-    report, traces = _audit("T3", n)
-    b, even = report.blocks, sum(tr.target_tag == "POEX" for tr in traces)
-    report.blocks = {"odd-domain": len(traces) - even, "even-domain": even,
+    report = _audit("T3", n)
+    b, even = report.blocks, sum(tr.target_tag == "POEX" for tr in report.traces)
+    report.blocks = {"odd-domain": len(report.traces) - even, "even-domain": even,
                      "odd-image": b["image:SPT1O-N"] + b["image:SPT1O-N-2"],
                      "poex": b["codomain:POEX"]}
     lhs, rhs = identity_sides("T3", n)

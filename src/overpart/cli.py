@@ -21,13 +21,14 @@ from .enumeration import (
 from .bijections import (
     PreconditionError, apply_map, verify_bijection, verify_t3,
 )
-from .qseries import cross_check, series_for_token
+from .qseries import K_COLUMNS, cross_check, series_for_token
 
 DEFAULT_ORDER = 200
-# series tables hold O(order^2) integers; at this order the heaviest
-# token (be1, four parity tables) takes about 2.9 s and 430 MiB, and
-# selftest (every table and k <= 4) about 9 s and 690 MiB (fresh
-# process, one core, Python 3.11)
+# a series costs O(order^2) additions in one backward pass per (order,
+# z, parity) and keeps O(order) integers per column; at this order the
+# heaviest token (be1, two signed passes) takes about 2.8 s and 19 MiB,
+# and selftest --n-max 30 --k-max 4 (three passes) about 4.2 s and
+# 23 MiB (fresh process, one core, Python 3.11)
 MAX_ORDER = 4000
 # count, table, verify and selftest count from a memo of run states and
 # list no overpartition; at this cap, where pbar(42) = 1,967,696, verify
@@ -140,17 +141,31 @@ def cmd_map(args) -> tuple[str, int]:
     return text, EXIT_OK
 
 
-def _golden_lines(theorem: str, n: int) -> list[str]:
-    """Frozen listing of every map application at one weight, used to
-    reproduce the worked examples as snapshots."""
-    from .bijections import all_traces
-
-    lines = [f"== {theorem} n={n} =="]
-    for tr in sorted(all_traces(theorem, n),
-                     key=lambda t: (t.branch, t.source_tag, t.input.to_text())):
-        lines.append(f"{tr.branch}\t{tr.source_tag}\t{tr.input} -> {tr.output}"
-                     f"\t{tr.target_tag}")
-    return lines
+def _audit_lines(theorem: str, n: int, golden: bool) -> tuple[list[str], bool]:
+    """The audit at one weight as output lines, and whether it passed.
+    With ``golden`` the lines end with the frozen listing of every map
+    application, used to reproduce the worked examples as snapshots,
+    read from the audit's own traces; they are released on return,
+    before the next weight is audited."""
+    r = verify_t3(n) if theorem == "T3" else verify_bijection(theorem, n)
+    status = "PASS" if r.ok else "FAIL"
+    if theorem == "T3":
+        b = r.blocks
+        lines = [f"T3 n={n}: matching {b['odd-domain']} -> {b['odd-image']}, "
+                 f"even {b['even-domain']} -> {b['poex']} {status}"]
+    else:
+        word = "bijective" if r.injective and r.surjective else "NOT bijective"
+        lines = [f"{theorem} n={n}: domain {r.domain_size} = "
+                 f"codomain {r.codomain_size}, {word} {status}"]
+    if not r.ok:
+        lines += (f"  problem: {p}" for p in r.problems)
+        lines += (f"  violation: {json.dumps(v.to_json_dict())}" for v in r.contract_violations)
+    if golden:
+        lines.append(f"== {theorem} n={n} ==")
+        lines += (f"{tr.branch}\t{tr.source_tag}\t{tr.input} -> {tr.output}\t{tr.target_tag}"
+                  for tr in sorted(r.traces, key=lambda t: (t.branch, t.source_tag,
+                                                            t.input.to_text())))
+    return lines, r.ok
 
 
 def cmd_check_bijection(args) -> tuple[str, int]:
@@ -163,24 +178,9 @@ def cmd_check_bijection(args) -> tuple[str, int]:
     lines = []
     all_ok = True
     for n in ns:
-        r = verify_t3(n) if theorem == "T3" else verify_bijection(theorem, n)
-        status = "PASS" if r.ok else "FAIL"
-        if theorem == "T3":
-            b = r.blocks
-            lines.append(f"T3 n={n}: matching {b['odd-domain']} -> {b['odd-image']}, "
-                         f"even {b['even-domain']} -> {b['poex']} {status}")
-        else:
-            word = "bijective" if r.injective and r.surjective else "NOT bijective"
-            lines.append(f"{theorem} n={n}: domain {r.domain_size} = "
-                         f"codomain {r.codomain_size}, {word} {status}")
-        all_ok = all_ok and r.ok
-        if not r.ok:
-            for p in r.problems:
-                lines.append(f"  problem: {p}")
-            for v in r.contract_violations:
-                lines.append(f"  violation: {json.dumps(v.to_json_dict())}")
-        if args.golden:
-            lines.extend(_golden_lines(theorem, n))
+        more, ok = _audit_lines(theorem, n, args.golden)
+        lines += more
+        all_ok = all_ok and ok
     return "\n".join(lines), EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="cross-check enumeration against the q-series oracle")
     p.add_argument("--n-max", type=int, default=30)
-    p.add_argument("--k-max", type=int, default=4)
+    p.add_argument("--k-max", type=int, default=K_COLUMNS)
     p.add_argument("--order", type=int, default=None,
                    help=f"truncation order, at most {MAX_ORDER} (default n-max)")
     p.set_defaults(func=cmd_selftest)

@@ -359,17 +359,25 @@ def _signature_of(odd_values: int, even_values: int, parity: int,
     return _SIGNATURES.setdefault(sig, sig)
 
 
-def signature(entries) -> Signature:
-    """The interned :class:`Signature` of an overpartition, or of any
-    canonical sequence of ``(value, plain, over)`` runs."""
-    odd_values = parts = 0
+def _weighed_signature(entries) -> tuple[int, Signature]:
+    """The weight and the interned :class:`Signature` of a canonical
+    sequence of ``(value, plain, over)`` runs, read in one pass."""
+    odd_values = parts = weight = 0
     v, p, o = 0, 0, 1  # no last run, as in the empty overpartition
     for v, p, o in entries:  # leaves (v, p, o) at the last run
         odd_values += v & 1
         parts += p + o
+        weight += v * (p + o)
     even_values = len(entries) - odd_values
-    return _signature_of(odd_values if odd_values < 2 else 2, even_values if even_values < 2 else 2,
-                         parts & 1, (v & 1, v == 1, p, o))
+    sig = _signature_of(odd_values if odd_values < 2 else 2, even_values if even_values < 2 else 2,
+                        parts & 1, (v & 1, v == 1, p, o))
+    return weight, sig
+
+
+def signature(entries) -> Signature:
+    """The interned :class:`Signature` of an overpartition, or of any
+    canonical sequence of ``(value, plain, over)`` runs."""
+    return _weighed_signature(entries)[1]
 
 
 class Family(NamedTuple):
@@ -434,11 +442,16 @@ def _lineage(fid: str) -> tuple[Family, ...]:
 _LINEAGE = {fid: _lineage(fid) for fid in FAMILY_IDS}
 
 
-@lru_cache(maxsize=None)
 def member(sig: Signature, fam: FamilySpec) -> bool:
     """Whether a signature meets every clause of the family; the table
     is evaluated once per distinct signature and family."""
-    return all(row.holds(sig, fam.k) for row in _LINEAGE[fam.id])
+    return _member(sig, fam.id, fam.k)
+
+
+# keyed by the spec's fields: a FamilySpec hashes and compares in Python
+@lru_cache(maxsize=None)
+def _member(sig: Signature, fid: str, k: int) -> bool:
+    return all(row.holds(sig, k) for row in _LINEAGE[fid])
 
 
 def is_member(pi: OverPartition, fam: FamilySpec) -> bool:

@@ -16,28 +16,35 @@ refinements.
 A :class:`Series` only holds the result: the truncation order and the
 coefficients of q^0 .. q^order.  Products are never formed densely.
 ``_times_part_factor`` multiplies a coefficient list by one factor in
-place: it divides by (1 - z*q^j) with an ascending running sum, then
-multiplies by (1 + z*q^j), each a few slice-wide integer additions.
-A suffix product over part values above s is 1 plus terms above q^s.
-On such an input both steps only add z*c[0] at q^j below q^(2j), so
-the factor adds that twice and slices from q^(2j): 2*(order - 2j)
-additions instead of 2*(order - j), and a table of suffix products over
-every part value costs about order^2 / 2 of them.  Sums of shifted
-suffix products skip the same zero band.
+place: it divides by (1 - z*q^j), then multiplies by (1 + z*q^j), each
+a few slice-wide integer additions.  Every family series is read from
+the suffix products P_s over part values above s, and one backward
+pass per (order, z, parity) walks s from order down to 1 with one
+running product (two, over even and odd values, for the parity
+families), adding each q^(ks)*P_s into the spt columns as it goes.  So
+a pass costs O(order^2) additions, and it keeps O(order) integers per
+column, never a table of every P_s.  P_s is 1 plus terms above q^s;
+the factor and the column sums skip that zero band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, sub
 
 from .core import (
-    PBAR, PE, PEX, POEX, SIGNED_REFINEMENTS, SPTK, SPTKO, FamilySpec,
+    BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SIGNED_REFINEMENTS, SPTKO, FamilySpec,
     parse_family_token,
 )
 
 __all__ = ["Series", "family_series", "cross_check"]
+
+# every backward pass yields the columns k = 1 .. K_COLUMNS besides the k
+# asked for; this is also selftest's default --k-max, so a default
+# selftest makes one pass per (z, parity)
+K_COLUMNS = 4
 
 
 @dataclass(frozen=True)
@@ -66,12 +73,20 @@ def _times_part_factor(coeffs: list[int], j: int, z: int) -> None:
     # zero band (q^1 .. q^j all 0): below q^(2j) the divide adds only
     # z*c[0] at q^j, so the blocks and the numerator start at q^(2j)
     lo = 2 * j if j < len(coeffs) and not any(coeffs[1:j + 1]) else j
-    if lo > j:
-        coeffs[j] = op(coeffs[j], coeffs[0])
-    # divide by 1 - z*q^j: c[i] += z*c[i-j], ascending one block of j at a
-    # time so each block reads the already divided block below it
-    for b in range(lo, len(coeffs), j):
-        coeffs[b:b + j] = map(op, coeffs[b:b + j], coeffs[b - j:b])
+    if j * j < len(coeffs):
+        # divide by 1 - z*q^j one residue class mod j at a time, when there
+        # are fewer classes than blocks of j: each class is divided by
+        # 1 - z*q, the running sum d[m] = c[m] + z*d[m-1]
+        step = None if z == 1 else lambda previous, c: c - previous
+        for r in range(j):
+            coeffs[r::j] = accumulate(coeffs[r::j], step)
+    else:
+        if lo > j:
+            coeffs[j] = op(coeffs[j], coeffs[0])
+        # divide by 1 - z*q^j: c[i] += z*c[i-j], ascending one block of j
+        # at a time so each block reads the already divided block below it
+        for b in range(lo, len(coeffs), j):
+            coeffs[b:b + j] = map(op, coeffs[b:b + j], coeffs[b - j:b])
     # times 1 + z*q^j; the right-hand slices are copies, so every term
     # reads the coefficient from before the update
     coeffs[lo:] = map(op, coeffs[lo:], coeffs[lo - j:-j])
@@ -81,38 +96,34 @@ def _times_part_factor(coeffs: list[int], j: int, z: int) -> None:
 
 
 @lru_cache(maxsize=16)
-def _suffix_products(order: int, z: int, parity: str) -> tuple[tuple[int, ...], ...]:
-    """prods[s] = coefficients of the product of (1 + z*q^j)/(1 - z*q^j)
-    over j > s, truncated at q^order, with j restricted by parity ("all",
-    "odd", or "even").
+def _backward_pass(order: int, z: int, split: bool, k_top: int):
+    """Every series read from the suffix products of one (order, z,
+    parity), in one walk s = order .. 1.
 
-    One running coefficient list is updated in place from j = order down
-    to 1, and a tuple snapshot is taken after each factor.  Entry s is 1
-    plus terms above q^s, the zero band ``_times_part_factor`` and
-    ``_shifted_sum`` skip.  Consecutive entries that no factor separates
-    share one tuple."""
-    acc = [1] + [0] * order
-    prods = [tuple(acc)] * (order + 1)
-    for j in range(order, 0, -1):
-        if parity == "all" or j % 2 == (parity == "odd"):
-            _times_part_factor(acc, j, z)
-            prods[j - 1] = tuple(acc)
-        else:
-            prods[j - 1] = prods[j]
-    return tuple(prods)
-
-
-def _shifted_sum(suffix_for, k: int, order: int) -> Series:
-    # sum over s >= 1 of q^(k*s) * suffix_for(s); terms with k*s > order
-    # vanish, and suffix_for(s) is 1 plus terms above q^s
-    out = [0] * (order + 1)
-    for s in range(1, order // k + 1):
-        base = k * s
-        out[base] += 1
-        out[base + s + 1:] = map(add, out[base + s + 1:], suffix_for(s)[s + 1:order - base + 1])
-        # the k plain copies of s carry no z weight: only parts above s
-        # (SPTKO) or all parts (POEX) are signed
-    return Series(order, tuple(out))
+    P_s is the product of (1 + z*q^j)/(1 - z*q^j) over the part values
+    j > s: all of them, or with ``split`` one product over even values
+    and one over odd values.  At each s, q^(k*s) times P_s (for the
+    split walk, the product of the parity opposite to s) is added into
+    column k, for k <= K_COLUMNS and k = ``k_top``; then the factor of
+    s joins the running product of its parity.  Returns ``(p0, p1,
+    columns)``: P_0 (the even product when split), P_1 (the odd product
+    when split), and a dict from k to the sum over s >= 1 of q^(k*s)
+    P_s.  Each is a tuple of q^0 .. q^order, so an entry holds
+    O(order*k) integers, and every running product handed to
+    ``_times_part_factor`` is 1 plus terms above q^s."""
+    # the even and the odd running product, one list twice unless split
+    prods = ([1] + [0] * order, [1] + [0] * order) if split else ([1] + [0] * order,) * 2
+    columns = {k: [0] * (order + 1) for k in (*range(1, K_COLUMNS + 1), k_top)}
+    for s in range(order, 0, -1):
+        above = prods[1 - s % 2]
+        for k, col in columns.items():
+            if (base := k * s) <= order:  # P_s is 1 plus terms above q^s
+                col[base] += 1
+                col[base + s + 1:] = map(add, col[base + s + 1:], above[s + 1:order - base + 1])
+        if s == 1:
+            p1 = tuple(prods[1])
+        _times_part_factor(prods[s % 2], s, z)
+    return tuple(prods[0]), p1, {k: tuple(col) for k, col in columns.items()}
 
 
 def _halved(plus: Series, minus: Series, even_half: bool) -> Series:
@@ -137,26 +148,20 @@ def family_series(fam: FamilySpec, order: int, z: int = 1) -> Series:
     if z == -1 and fam.id not in SIGNED_REFINEMENTS:
         raise ValueError(f"family {fam.token!r} has no signed statistic; z=-1 invalid")
     fid = fam.id
-    if fid in (PBAR, PE):
-        return Series(order, _suffix_products(order, z, "all" if fid == PBAR else "even")[0])
+    if fid in (BEK, BOK, CE, CO):  # the even or odd half of a signed family
+        base, even = next((FamilySpec(signed, fam.k), halves[0])
+                          for signed, halves in SIGNED_REFINEMENTS.items() if fid in halves)
+        return _halved(family_series(base, order, 1), family_series(base, order, -1),
+                       even_half=(fid == even))
+    p0, p1, columns = _backward_pass(order, z, fid in (PE, POEX, SPTKO), max(fam.k, K_COLUMNS))
     if fid in (PEX, POEX):
         # value 1 may appear only overlined, a factor 1 + z*q; every value
         # >= 2 (PEX) or every odd value >= 3 (POEX) is free
-        above_one = _suffix_products(order, z, "all" if fid == PEX else "odd")[1]
-        return Series(order, (above_one[0], *map(add if z == 1 else sub, above_one[1:], above_one)))
-    if fid == SPTK:
-        suffix = _suffix_products(order, z, "all")
-        return _shifted_sum(lambda s: suffix[s], fam.k, order)
-    if fid == SPTKO:
-        # parts above s must have the opposite parity to s
-        odd = _suffix_products(order, z, "odd")
-        even = _suffix_products(order, z, "even")
-        return _shifted_sum(lambda s: odd[s] if s % 2 == 0 else even[s], fam.k, order)
-    # BEK / BOK / CE / CO: the even or odd half of a signed family
-    base, even = next((FamilySpec(signed, fam.k), halves[0])
-                      for signed, halves in SIGNED_REFINEMENTS.items() if fid in halves)
-    return _halved(family_series(base, order, 1), family_series(base, order, -1),
-                   even_half=(fid == even))
+        return Series(order, (p1[0], *map(add if z == 1 else sub, p1[1:], p1)))
+    # PBAR and PE read P_0, SPTK and SPTKO their column: the k plain copies
+    # of s carry no z weight, only the parts above s (of the parity
+    # opposite to s for SPTKO) are signed
+    return Series(order, p0 if fid in (PBAR, PE) else columns[fam.k])
 
 
 def series_for_token(token: str, order: int, default_k: int = 1) -> Series:

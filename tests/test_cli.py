@@ -287,6 +287,23 @@ class TestCheckBijection:
         assert code == 0
         assert out.strip().splitlines()[1:] == golden.splitlines()
 
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4e", "T4o"])
+    def test_golden_runs_each_map_once(self, capsys, monkeypatch, theorem):
+        # the listing reads the audit's own traces, so no domain element
+        # is mapped a second time for it
+        calls = []
+        real = bijections._audit_trace
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bijections, "_audit_trace", counted)
+        code, out, _ = run(capsys, "check-bijection", theorem, "--n-max", "10", "--golden")
+        assert code == 0
+        assert len(calls) == len(set(calls)) > 0
+        assert out.count("\n== ") == 11 - cli.IDENTITY_START[theorem]
+
     def test_failed_audit_exits_1_with_problems(self, capsys, monkeypatch):
         # a map that sends the POEX branches to the wrong component
         real = bijections.map_t2
@@ -385,7 +402,7 @@ class TestSeries:
     @pytest.mark.parametrize("token", list(dict.fromkeys(
         profile_tokens(4) + ["pbar", "pe", "pex", "poex", "ce", "co", "poex-prime"])))
     def test_order_below_1_rejected_before_any_table(self, capsys, monkeypatch, token, order):
-        monkeypatch.setattr(qseries, "_suffix_products", lambda *args: pytest.fail("built"))
+        monkeypatch.setattr(qseries, "_backward_pass", lambda *args: pytest.fail("built"))
         code, out, err = run(capsys, "series", token, "--order", order)
         assert (code, out) == (2, "")
         assert err.startswith("error: order must be >= 1\n")

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from functools import lru_cache
 from operator import add, sub
 
@@ -173,12 +174,12 @@ class TestCrossCheck:
                 coeffs[2:] = map(add, coeffs[2:], before[:-2])
 
         monkeypatch.setattr(qseries, "_times_part_factor", corrupted)
-        # rebuild the memoized suffix products through the corrupted factor
-        qseries._suffix_products.cache_clear()
+        # rerun the memoized passes through the corrupted factor
+        qseries._backward_pass.cache_clear()
         try:
             mismatches = cross_check(13, 1, 13)
         finally:
-            qseries._suffix_products.cache_clear()
+            qseries._backward_pass.cache_clear()
         assert mismatches
 
     def test_series_module_imports_no_enumeration(self):
@@ -246,7 +247,9 @@ def _dense_series(fam, order, z):
 
 
 class TestInPlaceEngine:
-    @pytest.mark.parametrize("n", range(1, 13))
+    # n up to 40, so that both the residue-class divide (j*j <= n) and the
+    # block divide run for both signs of z
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_primitive_matches_dense_product(self, n):
         coeffs = [(7 * i * i - 3 * i + 2) % 11 - 5 for i in range(n + 1)]
         for j in range(1, n + 1):
@@ -257,10 +260,53 @@ class TestInPlaceEngine:
 
     @pytest.mark.parametrize("order", [*range(1, 41), 200])
     def test_family_series_matches_dense_reference(self, order):
-        for token in profile_tokens(4):
+        # k = 5 and 6 ask a pass for a column above K_COLUMNS
+        for token in profile_tokens(6):
             fam, signed = parse_family_token(token)
             z = -1 if signed else 1
             assert list(family_series(fam, order, z).coeffs) == _dense_series(fam, order, z), token
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("order", [1, 2, 9, 60])
+    def test_one_pass_serves_every_column(self, order, monkeypatch):
+        # one walk per (order, z, parity) serves every k <= K_COLUMNS column
+        # and the P_0 and P_1 series, one factor per part value; the halved
+        # families read the two signed passes
+        calls = []
+        real = qseries._times_part_factor
+
+        def counting(coeffs, j, z):
+            calls.append((j, z))
+            real(coeffs, j, z)
+
+        monkeypatch.setattr(qseries, "_times_part_factor", counting)
+        qseries._backward_pass.cache_clear()
+        try:
+            ks = range(1, qseries.K_COLUMNS + 1)
+            for tokens in (["pbar", "pex", *(f"spt{k}" for k in ks)],
+                           ["pe", "poex", *(f"spt{k}o" for k in ks)],
+                           ["poex-prime", "ce", "co", *(f"{stem}{k}{suffix}" for k in ks
+                            for stem, suffix in (("spt", "o-prime"), ("be", ""), ("bo", "")))]):
+                before = len(calls)
+                for token in tokens * 2:
+                    series_for_token(token, order)
+                assert len(calls) - before == order, tokens
+        finally:
+            qseries._backward_pass.cache_clear()
+
+    def test_spt1_needs_order_memory(self):
+        # the pass keeps a few running lists, not a table of every suffix
+        # product: 0.2 MiB traced peak at order 600, where the table held
+        # 4.8 MiB and grew as order^2
+        qseries._backward_pass.cache_clear()
+        tracemalloc.start()
+        try:
+            family_series(FamilySpec(SPTK, 1), 600)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 class TestZeroBand:
@@ -293,10 +339,19 @@ class TestZeroBand:
                     assert got == _mul(coeffs, _factor(j, z, n)), (j, p, z)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 7, 30])
-    def test_suffix_entries_are_one_then_zero_to_q_s(self, order):
+    def test_suffix_entries_are_one_then_zero_to_q_s(self, order, monkeypatch):
+        # every running product the pass hands to the primitive, once per
+        # part value j, is the suffix product over values above j
+        real = qseries._times_part_factor
         for z in (1, -1):
-            for parity in ("all", "odd", "even"):
-                prods = qseries._suffix_products(order, z, parity)
-                assert len(prods) == order + 1
-                for s, entry in enumerate(prods):
-                    assert entry[:s + 1] == (1,) + (0,) * s, (z, parity, s)
+            for split in (False, True):
+                handed = []
+
+                def recording(coeffs, j, z):
+                    handed.append(j)
+                    assert coeffs[:j + 1] == [1] + [0] * j, (z, split, j)
+                    real(coeffs, j, z)
+
+                monkeypatch.setattr(qseries, "_times_part_factor", recording)
+                qseries._backward_pass.__wrapped__(order, z, split, qseries.K_COLUMNS)
+                assert handed == list(range(order, 0, -1))
