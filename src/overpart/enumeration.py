@@ -4,10 +4,22 @@ overpartitions, plus the identity checks built on those counts.
 Membership comes only from the family table in :mod:`overpart.core`:
 each overpartition is reduced to its :class:`~overpart.core.Signature`,
 and the table is evaluated once per distinct signature.  Listing walks
-the runs in enumeration order and carries each overpartition's run
-state down to it: the number of odd values and the number of even
-values, each capped at 2, and the parity of the part count, which is
-all a signature reads of the runs above the last one.
+the runs in enumeration order (Knuth, TAOCP 4A, 7.2.1.4, generating all
+partitions) and carries each overpartition's run state down to it: the
+number of odd values and the number of even values, each capped at 2,
+and the parity of the part count, which is all a signature reads of the
+runs above the last one.
+
+A family is listed by one walk that skips every subtree in which no
+overpartition is a member.  Per family, a memo records for each run
+state met, with the weight left and the largest value allowed, the
+value of the first run of the first member that the family's walk from
+that state yields, or 0 when it yields none; the walk stops at that
+first member.  So the walk skips a tail that completes no member, and
+after each run value it goes straight to the next value that starts a
+member.  At a leaf each head variant is tested with the signature the
+walk carried down.  ``overpartitions`` is the walk that skips nothing.
+Only the 32 most recently used family listings are kept.
 
 Counting lists nothing (Andrews, "The number of smallest parts in the
 partitions of n", 2008; Corteel and Lovejoy, "Overpartitions", 2004).
@@ -35,7 +47,9 @@ n=4 this gives
     4, 4o, 3,1, 3o,1, 3,1o, 3o,1o, 2,2, 2o,2, 2,1,1, 2o,1,1,
     2,1o,1, 2o,1o,1, 1,1,1,1, 1o,1,1,1
 
-which golden tests freeze.  Family streams preserve this order.
+which golden tests freeze.  A family's listing is this order with the
+non-members left out: the family's walk only skips subtrees, so sparse
+families such as spt1o cost far less than pbar(n).
 
 Identities
 ----------
@@ -54,7 +68,7 @@ which must reproduce T2 and T3.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -69,16 +83,6 @@ __all__ = [
     "IDENTITIES", "IDENTITY_START", "identity_sides", "derivation_sides",
 ]
 
-# annotated enumerations are memoized up to this weight; audits and
-# repeated family lookups stay below it, one-shot sweeps above it stream.
-# _annotated_cache[n] holds the overpartitions of n in enumeration order
-# and _signatures[n] their signatures, aligned by index; both come from
-# one walk of _runs and are filled together, so n in _annotated_cache
-# means _signatures[n] is current
-_CACHE_LIMIT = 25
-_annotated_cache: dict[int, tuple[OverPartition, ...]] = {}
-_signatures: dict[int, tuple[Signature, ...]] = {}
-
 # the run state of a set of runs: its numbers of odd and of even values,
 # each capped at 2, and the parity of its part count, which is all that
 # _signature_of reads of the runs above the last; _ABOVE[m][s] counts by
@@ -86,27 +90,56 @@ _signatures: dict[int, tuple[Signature, ...]] = {}
 # row per m, shared by every weight
 _ABOVE: list[list[Counter]] = []
 
+# per family, the packed state (remaining, cap, odd, even, parity) of a
+# subtree -> the value of the first run of the first member that the
+# family's walk of it yields, 0 if it yields none; filled by the walks
+# that ask, and shared by every weight
+_REACH: defaultdict[FamilySpec, dict[int, int]] = defaultdict(dict)
 
-def _runs(remaining: int, cap: int, odd=0, even=0, parity=0):
+
+def _runs(remaining: int, cap: int, fam: FamilySpec | None = None, odd=0, even=0, parity=0):
     # each way to follow earlier runs with these run-state totals by runs
     # of weight remaining and values up to cap, in the order of the module
-    # docstring: its runs, and the signature of the whole overpartition.
-    # The two variants of a head share each tail's signature, and differ
-    # only as the last run, with no tail
+    # docstring, that makes a member of fam (any overpartition when fam is
+    # None): its runs, and the signature of the whole overpartition.  The
+    # two variants of a head share each tail's signature, and differ only
+    # as the last run, with no tail.  A tail no member completes is
+    # skipped, and so is every value below v down to the next one that
+    # starts a member
     if not remaining:  # n = 0: the empty overpartition
-        yield (), signature(())
-    for v in range(min(remaining, cap), 0, -1):
+        if fam is None or member(signature(()), fam):
+            yield (), signature(())
+    reach = None if fam is None else _REACH[fam]
+    v = min(remaining, cap)
+    while v:
         o, e = min(odd + (v & 1), 2), min(even + 1 - (v & 1), 2)
         for total in range(remaining // v, 0, -1):
             rest, p = remaining - v * total, parity ^ (total & 1)
             head_plain, head_over = (v, total, 0), (v, total - 1, 1)
-            if rest:
-                for tail, sig in _runs(rest, v - 1, o, e, p):
+            if not rest:
+                for head in head_plain, head_over:
+                    sig = _signature_of(o, e, p, (v & 1, v == 1, head[1], head[2]))
+                    if fam is None or member(sig, fam):
+                        yield (head,), sig
+            elif reach is None or _first_value(reach, fam, rest, v - 1, o, e, p):
+                for tail, sig in _runs(rest, v - 1, fam, o, e, p):
                     yield (head_plain,) + tail, sig
                     yield (head_over,) + tail, sig
-            else:
-                yield (head_plain,), _signature_of(o, e, p, (v & 1, v == 1, total, 0))
-                yield (head_over,), _signature_of(o, e, p, (v & 1, v == 1, total - 1, 1))
+        v = v - 1 if reach is None else _first_value(reach, fam, remaining, v - 1, odd, even, parity)
+
+
+def _first_value(reach: dict[int, int], fam: FamilySpec, remaining: int, cap: int,
+                 odd: int, even: int, parity: int) -> int:
+    # the largest value of a first run in fam's walk of this state, read
+    # from or added to fam's memo: the walk stops at its first member.  A
+    # cap above remaining acts as remaining, and the pair packs into
+    # remaining*(remaining+1)/2 + cap, so a state is one int
+    cap = min(cap, remaining)
+    key = ((remaining * (remaining + 1) // 2 + cap) * 3 + odd) * 6 + even * 2 + parity
+    if key not in reach:
+        first = next(_runs(remaining, cap, fam, odd, even, parity), None)
+        reach[key] = first[0][0][0] if first else 0
+    return reach[key]
 
 
 def _weight(n: int) -> int:
@@ -122,32 +155,12 @@ def overpartitions(n: int) -> Iterator[OverPartition]:
     return (_canonical(runs) for runs, _ in _runs(_weight(n), n))
 
 
-def _annotated(n: int) -> Iterable[tuple[OverPartition, Signature]]:
-    if n > _CACHE_LIMIT:
-        return ((_canonical(runs), sig) for runs, sig in _runs(n, n))
-    if n not in _annotated_cache:
-        pis, sigs = [], []
-        for runs, sig in _runs(_weight(n), n):
-            pis.append(_canonical(runs))
-            sigs.append(sig)
-        _signatures[n], _annotated_cache[n] = tuple(sigs), tuple(pis)
-    return zip(_annotated_cache[n], _signatures[n])
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def family_elements(fam: FamilySpec, n: int) -> tuple[OverPartition, ...]:
-    """Memoized family members at weight ``n``, in enumeration order."""
-    # one pass, so the streamed n > _CACHE_LIMIT sweep still works; the
-    # table is evaluated once per distinct signature
-    verdicts: dict[Signature, bool] = {}
-    members = []
-    for pi, sig in _annotated(n):
-        holds = verdicts.get(sig)
-        if holds is None:
-            holds = verdicts[sig] = member(sig, fam)
-        if holds:
-            members.append(pi)
-    return tuple(members)
+    """Family members at weight ``n``, in enumeration order, from one
+    walk that skips every subtree holding no member; the 32 most
+    recently used listings are memoized."""
+    return tuple(_canonical(runs) for runs, _ in _runs(_weight(n), n, fam))
 
 
 def _above(m: int, s: int) -> Counter:

@@ -406,12 +406,13 @@ class TestAuditFailures:
 class TestAuditMemory:
     # cold caches, then T1/T2/T4e/T4o and T3 audited at every n <= 20:
     # the traced peak was 11.5 MiB with namedtuple entries and (pi, sig)
-    # pairs in the annotated cache, 4.5 MiB with int-triple entries and
-    # signatures held aligned beside the cached overpartitions
-    PEAK_MIB = 7
+    # pairs in a cache of every overpartition of each n <= 25, 4.7 MiB with
+    # int-triple entries in it, and 3.0 MiB with each family listed by its
+    # own pruned walk and the 32 most recently used listings kept
+    PEAK_MIB = 4
 
     def test_audit_sweep_to_20_stays_under_bound(self):
-        enumeration._annotated_cache.clear()
+        enumeration._REACH.clear()
         enumeration.family_elements.cache_clear()
         enumeration._token_counts.cache_clear()
         tracemalloc.start()

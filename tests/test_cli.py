@@ -419,12 +419,13 @@ ENUMERATING = [
 ]
 
 # the commands that enumerate beyond count, table and verify: selftest
-# under MAX_N, check-bijection under its own cap
+# under MAX_N, check-bijection under its theorem's cap
 GUARDED = [
     (("selftest", "--n-max", "{n}", "--k-max", "1"), MAX_N),
-    (("check-bijection", "T1", "--n", "{n}"), MAX_AUDIT_N),
-    (("check-bijection", "T3", "--n-max", "{n}"), MAX_AUDIT_N),
-]
+    (("check-bijection", "T1", "--n", "{n}"), MAX_AUDIT_N["T1"]),
+    (("check-bijection", "T1", "--n-max", "{n}"), MAX_AUDIT_N["T1"]),
+] + [(("check-bijection", theorem, option, "{n}"), MAX_AUDIT_N[theorem])
+     for theorem, option in (("T2", "--n"), ("T3", "--n-max"), ("T4e", "--n"), ("T4o", "--n-max"))]
 
 
 class TestEnumerationCap:

@@ -1,15 +1,15 @@
 import gc
 import inspect
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
 import overpart.enumeration as enumeration
 from overpart.core import (
-    BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SIGNED_REFINEMENTS, SPTK, SPTKO,
-    FamilySpec, OverPartition, _signature_of, parse, parse_family_token,
-    signature,
+    BEK, BOK, CE, CO, FAMILY_IDS, PBAR, PE, PEX, POEX, SIGNED_REFINEMENTS, SPTK,
+    SPTKO, FamilySpec, OverPartition, _signature_of, is_member, member, parse,
+    parse_family_token, signature,
 )
 from overpart.enumeration import (
     IDENTITIES, IDENTITY_START, count_many, count_profile, derivation_sides,
@@ -21,6 +21,10 @@ from overpart.qseries import family_series
 PBAR_0_18 = [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232, 344, 504, 728, 1040,
              1472, 2062, 2864, 3948]
 PBAR_0_14 = PBAR_0_18[:15]
+
+# the ten families, each parametric one at k = 1, 2 and 3
+FAMILIES = [FamilySpec(fid, k) for fid in FAMILY_IDS
+            for k in ((1, 2, 3) if fid in (SPTK, SPTKO, BEK, BOK) else (1,))]
 
 _POEX_PRIME = (FamilySpec(POEX), True)
 _SPT1O_PRIME = (FamilySpec(SPTKO, 1), True)
@@ -101,7 +105,6 @@ class TestFamilyStreams:
         assert family_elements(FamilySpec(SPTK, 1), 0) == ()
 
     def test_stream_matches_filter_order(self):
-        from overpart.core import is_member
         fam = FamilySpec(PEX)
         for n in (5, 8):
             filtered = [pi for pi in overpartitions(n) if is_member(pi, fam)]
@@ -163,9 +166,10 @@ class TestCounts:
 
     @pytest.mark.parametrize("n", range(15))
     def test_token_counts_read_the_annotated_cache(self, monkeypatch, n):
-        # every column counted from the family listings of the annotated
-        # cache, against the run-state memo with the walk and the listing
-        # disabled: the counts agree with the cache and enumerate nothing
+        # every column counted from the family listings, each a walk whose
+        # elements carry their signatures, against the run-state memo with
+        # the walk and the listing disabled: the counts agree with the
+        # listings and enumerate nothing
         tokens = profile_tokens(max(n, 1))
         listed = {}
         for tok in tokens:
@@ -173,7 +177,6 @@ class TestCounts:
             halves = SIGNED_REFINEMENTS[fam.id] if signed else (fam.id,)
             listed[tok] = sum(sign * len(family_elements(FamilySpec(half, fam.k), n))
                               for half, sign in zip(halves, (1, -1)))
-        assert n in enumeration._annotated_cache
         enumeration._token_counts.cache_clear()
 
         def no_walk(*args):
@@ -365,13 +368,47 @@ class TestCacheLayout:
 
     @pytest.mark.parametrize("n", range(15))
     def test_annotated_cache_aligns_signatures(self, n):
-        enumeration._token_counts.cache_clear()
+        # each family's pruned walk yields its members' runs beside the
+        # signature it carried down to them, and the cached listing holds
+        # those runs in the same order
         enumeration.family_elements.cache_clear()
-        enumeration._annotated_cache.clear()
         assert len(family_elements(FamilySpec(PBAR), n)) == PBAR_0_14[n]
-        cached = enumeration._annotated_cache[n]
-        assert len(cached) == PBAR_0_14[n]
-        assert cached == tuple(overpartitions(n))
-        sigs = enumeration._signatures[n]
-        assert len(sigs) == len(cached)
-        assert all(sig == signature(pi) for pi, sig in zip(cached, sigs))
+        for fam in FAMILIES:
+            walked = list(enumeration._runs(n, n, fam))
+            assert all(sig == signature(runs) for runs, sig in walked), fam
+            assert family_elements(fam, n) == tuple(runs for runs, _ in walked), fam
+        assert family_elements.cache_info().currsize == len(FAMILIES)
+
+
+class TestFamilyWalk:
+    @pytest.mark.parametrize("n", range(31))
+    def test_listings_equal_the_unpruned_filter(self, n):
+        # the reference is [pi for pi in overpartitions(n) if is_member(pi,
+        # fam)], from one unpruned walk grouped by signature: a family's
+        # members are the groups of its member signatures, merged back
+        # into enumeration order by position
+        listed = list(overpartitions(n))
+        groups = defaultdict(list)
+        for i, pi in enumerate(listed):
+            groups[signature(pi)].append(i)
+        for fam in FAMILIES:
+            held = sorted(i for sig, group in groups.items() if member(sig, fam) for i in group)
+            assert family_elements(fam, n) == tuple(listed[i] for i in held), fam
+
+    def test_spt1o_at_60_lists_without_walking_pbar(self):
+        # pbar(60) is about 74 million, so an unpruned walk would not end
+        # within the suite; the pruned one lists the 17,337 members
+        fam = FamilySpec(SPTKO, 1)
+        assert len(family_elements(fam, 60)) == count_many(60, [(fam, False)])[0] == 17337
+        assert all(pi.weight == 60 and is_member(pi, fam) for pi in family_elements(fam, 60))
+
+    def test_reach_memo_holds_ints(self):
+        # one packed int per run state, and the first value of the first
+        # member below it, 0 for a subtree that holds none
+        enumeration._REACH.clear()
+        family_elements.cache_clear()
+        family_elements(FamilySpec(SPTKO, 1), 20)
+        (reach,) = enumeration._REACH.values()
+        assert reach and all(type(key) is int for key in reach)
+        assert all(type(value) is int and 0 <= value <= 20 for value in reach.values())
+        assert any(reach.values()) and not all(reach.values())
