@@ -40,17 +40,27 @@ summands, its codomain tags (each defined once with family, weight and
 sign statistic) and whether every trace must flip sign.  A component
 that is also a domain summand (T3's matching) must be hit by exactly
 that summand's unmapped elements.
+
+An audit lists only its domain.  Each image is checked as it is made:
+it lies inside its component when its weight and signature put it
+there, and is a stray otherwise.  Every component but T3's matching is
+onto when its distinct images inside it number its size, an exact
+count from the run-state memo of :mod:`overpart.enumeration`, and it
+has no stray.  T1's inverse is applied once to each trace's output; a
+codomain is listed only when a failing T1 audit must name the elements
+it missed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import (
     BEK, BOK, CE, CO, PE, PEX, POEX, SPTK, SPTKO,
     FamilySpec, OverPartition, Stats, _weighed_signature, member, stats, why_not_member,
 )
-from .enumeration import IDENTITY_START, family_elements, identity_sides
+from .enumeration import IDENTITY_START, count_many, family_elements, identity_sides
 
 __all__ = [
     "SOURCE_N", "SOURCE_N_MINUS_1", "SOURCE_N_MINUS_2",
@@ -166,7 +176,10 @@ class VerificationReport:
     membership, or sign contract; ``problems`` carries any other
     failure descriptions (coverage gaps, unexpected exceptions).
     ``blocks`` reports the audited block sizes, e.g. per-component
-    image and codomain cardinalities.  ``traces`` holds the map
+    image and codomain cardinalities: the distinct images inside each
+    component, and its size from exact counts (for T3's matching, the
+    elements left unmapped), so ``codomain_size`` is counted, not
+    listed.  ``traces`` holds the map
     applications the audit made, in domain enumeration order: those of
     :func:`all_traces`, less any that raised (reported in ``problems``).
     """
@@ -364,11 +377,13 @@ def _audit_trace(theorem: str, pi: OverPartition, source_tag: str,
 
 def _audit(theorem: str, n: int) -> VerificationReport:
     # weight, membership and (if asked) sign flip of every image, injectivity
-    # across the tagged codomain, exact coverage of every component
+    # across the tagged codomain, and coverage of every component, certified
+    # by counting the distinct images inside it: only the domain is listed
     fam, low, components, flips = _audit_row(theorem, n)
     targets = {tag: _TARGETS[tag] for tag in components}
     report = VerificationReport(theorem, n, 0, 0, True, True)
     unmapped = {}  # (family, offset) of a summand -> elements left unmapped
+    hits, strays = set(), set()  # distinct (tag, output) inside their component, and not
     for tag in (SOURCE_N, low):
         elements = family_elements(fam, n + _OFFSET[tag])
         report.blocks[f"domain:{tag}"] = len(elements)
@@ -385,26 +400,30 @@ def _audit(theorem: str, n: int) -> VerificationReport:
             report.traces.append(tr)
             target = targets.get(tr.target_tag)
             weight, sig = _weighed_signature(tr.output)
-            if (target is None or weight != n + target[1] or not member(sig, target[0])
-                    or flips and not tr.sign_flip):
+            inside = target is not None and weight == n + target[1] and member(sig, target[0])
+            if not inside or flips and not tr.sign_flip:
                 report.contract_violations.append(tr)
+            (hits if inside else strays).add((tr.target_tag, tr.output))
         report.domain_size += len(elements) - len(left)
-    images = [(t.target_tag, t.output) for t in report.traces]
-    report.injective = len(set(images)) == len(images) and not report.problems
+    report.injective = len(hits) + len(strays) == len(report.traces) and not report.problems
+    counted = Counter(tag for tag, _ in hits)
     for comp, (comp_fam, offset, _) in targets.items():
         left = unmapped.get((comp_fam, offset))
-        want = set(family_elements(comp_fam, n + offset) if left is None else left)
-        hit = {out for tag, out in images if tag == comp}
-        report.blocks[f"image:{comp}"] = matched = len(hit & want)  # strays excluded
-        report.blocks[f"codomain:{comp}"] = len(want)
-        report.codomain_size += len(want)
-        if hit != want:
+        if left is None:  # onto when its distinct images inside number its size
+            (size,) = count_many(n + offset, [(comp_fam, False)])
+            matched, outside = counted[comp], sorted(str(o) for t, o in strays if t == comp)
+        else:  # T3's matching: onto the elements that summand left unmapped
+            hit, want = {out for tag, out in hits | strays if tag == comp}, set(left)
+            size, matched, outside = len(want), len(hit & want), sorted(map(str, hit - want))
+        report.blocks[f"image:{comp}"] = matched
+        report.blocks[f"codomain:{comp}"] = size
+        report.codomain_size += size
+        if matched < size or outside:
             report.surjective = False
-            strays = sorted(map(str, hit - want))
             report.problems.append(
-                f"component {comp}: hit {matched} of {len(want)} elements"
-                + (f"; {len(strays)} images outside it, e.g. {'; '.join(strays[:3])}"
-                   if strays else ""))
+                f"component {comp}: hit {matched} of {size} elements"
+                + (f"; {len(outside)} images outside it, e.g. {'; '.join(outside[:3])}"
+                   if outside else ""))
     return report
 
 
@@ -418,60 +437,51 @@ def all_traces(theorem: str, n: int) -> list[MapTrace]:
             if (tr := _audit_trace(theorem, pi, tag, n)) is not None]
 
 
-def _invert(report: VerificationReport, mu: OverPartition, n: int,
-            tr: MapTrace | None) -> tuple[OverPartition, str] | None:
-    # inv_t1(mu) when its forward image is still to be checked, else None:
-    # a failure is reported, and an inverse that comes back to the input of
-    # the trace onto mu has that trace's output, mu, as its forward image
-    try:
-        back = inv_t1(mu, n)
-    except Exception as exc:  # a broken inverse is reported, not raised
-        report.problems.append(f"inverse({mu}): {exc}")
-        return None
-    if tr is None:
-        return back
-    if back == (tr.input, tr.source_tag):
-        return None
-    report.problems.append(
-        f"inverse mismatch: {tr.output} -> ({back[0]}, {back[1]}), expected "
-        f"({tr.input}, {tr.source_tag})")
-    return back
-
-
 def _t1_round_trip(report: VerificationReport, n: int) -> None:
-    # inverse(forward(pi)) == pi for every trace and forward(inverse(mu)) == mu
-    # for every mu in pex(n), inverting each element once; when the inverse
-    # of mu is the input of the trace onto mu, that trace is its forward image
-    by_output, rest = {}, []
-    for tr in report.traces:
-        if by_output.setdefault(tr.output, tr) is not tr:
-            rest.append(tr)  # a second trace onto the same output
-    for mu in family_elements(_PEX, n):
-        tr = by_output.pop(mu, None)
-        back = _invert(report, mu, n, tr)
-        if back is None:
-            continue
+    # inverse(forward(pi)) == pi for every trace, one inverse per trace, and a
+    # mismatch's inverse is mapped forward.  A passing audit is a bijection, so
+    # forward(inverse(mu)) == mu then holds for every mu in pex(n); pex(n) is
+    # listed only when the count shows the map missed some, to name them
+    def inverse(mu):
         try:
-            fwd = map_t1(*back, n)
+            return inv_t1(mu, n)
+        except Exception as exc:  # a broken inverse is reported, not raised
+            report.problems.append(f"inverse({mu}): {exc}")
+
+    def forward(back, mu):
+        try:
+            if map_t1(*back, n).output != mu:
+                report.problems.append(f"forward(inverse({mu})) != {mu}")
         except Exception as exc:  # a broken map is reported, not raised
             report.problems.append(f"forward(inverse({mu})): {exc}")
-            continue
-        if fwd.output != mu:
-            report.problems.append(f"forward(inverse({mu})) != {mu}")
-    for tr in (*by_output.values(), *rest):  # outputs outside pex(n), collisions
-        _invert(report, tr.output, n, tr)
+
+    for tr in report.traces:
+        back = inverse(tr.output)
+        if back is not None and back != (tr.input, tr.source_tag):
+            report.problems.append(
+                f"inverse mismatch: {tr.output} -> ({back[0]}, {back[1]}), expected "
+                f"({tr.input}, {tr.source_tag})")
+            forward(back, tr.output)
+    if report.blocks["image:PEX"] < report.blocks["codomain:PEX"]:
+        hit = {tr.output for tr in report.traces}
+        for mu in family_elements(_PEX, n):
+            if mu not in hit and (back := inverse(mu)) is not None:
+                forward(back, mu)
 
 
 def verify_bijection(theorem: str, n: int) -> VerificationReport:
     """Exhaustively apply the named map on its full tagged domain and
     check membership, weight, injectivity across the tagged codomain,
-    and exact coverage of every component.  For T1 the explicit inverse
-    is also round-tripped in both directions: each pex(n) element is
-    inverted once, and forward images are read from the audit's traces
-    (the map runs again only where an element's inverse is not the input
-    of the trace onto it, which only a failing audit has).
-    Failures, including exceptions from the maps, are reported, never
-    raised."""
+    and exact coverage of every component, certified by count: a
+    component is onto when its distinct images inside it number its
+    size from the exact counts, with no image outside it, so no
+    codomain is listed.  For T1 the explicit inverse is applied once to
+    each trace's output and must return that trace's input and source
+    (a mismatch's inverse is also mapped forward);
+    forward(inverse(mu)) == mu for every mu in pex(n) then follows from
+    the bijection, and pex(n) is listed only when the count shows
+    elements left unhit, to name them.  Failures, including exceptions
+    from the maps, are reported, never raised."""
     if theorem == "T3":
         raise ValueError("no bijection audit for 'T3' (T3 has its own)")
     report = _audit(theorem, n)

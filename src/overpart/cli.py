@@ -35,12 +35,12 @@ MAX_ORDER = 4000
 # ALL --n-max 42 takes about 0.1 s in a fresh process (one core, Python
 # 3.11)
 MAX_N = 42
-# check-bijection builds and audits every element of each weight it
-# checks, so each theorem has its own cap, sized by its domain and
-# codomain families: T1 lists the dense spt1 and pex, and check-bijection
-# T1 --n-max 30 takes about 3.6 s and 52 MiB; the other maps act on the
-# sparse spt1o, be1 and bo1, and T2 --n-max 40 takes about 1.2 s and
-# 28 MiB (fresh process, one core, Python 3.11)
+# check-bijection maps and audits every domain element of each weight it
+# checks (codomain sizes are counted, not listed), so each theorem has its
+# own cap, sized by its domain family: T1 lists the dense spt1, and
+# check-bijection T1 --n-max 30 takes about 2.8 s and 36 MiB; the other
+# maps act on the sparse spt1o, be1 and bo1, and T2 --n-max 40 takes
+# about 1.1 s and 25 MiB (fresh process, one core, Python 3.11)
 MAX_AUDIT_N = {"T1": 30, "T2": 40, "T3": 40, "T4e": 40, "T4o": 40}
 
 EXIT_OK = 0

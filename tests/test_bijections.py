@@ -427,3 +427,191 @@ class TestAuditMemory:
         finally:
             tracemalloc.stop()
         assert peak < self.PEAK_MIB * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def reference_audit(theorem, n):
+    """The set-based audit the count-certified one replaced, kept as its
+    reference: every codomain component is listed with family_elements and
+    its hit and want sets are compared, and for T1 every element of pex(n)
+    is inverted and mapped back.  Returns the fields the two must share."""
+    fam, low, components, _ = bijections._audit_row(theorem, n)
+    blocks, problems, traces, unmapped, domain = {}, [], [], {}, 0
+    for tag in (SOURCE_N, low):
+        offset = bijections._OFFSET[tag]
+        elements = family_elements(fam, n + offset)
+        blocks[f"domain:{tag}"] = len(elements)
+        left = unmapped[fam, offset] = []
+        for pi in elements:
+            try:
+                tr = bijections._audit_trace(theorem, pi, tag, n)
+            except Exception as exc:
+                problems.append(f"{pi} [{tag}]: {exc}")
+                continue
+            if tr is None:
+                left.append(pi)
+            else:
+                traces.append(tr)
+        domain += len(elements) - len(left)
+    images = [(tr.target_tag, tr.output) for tr in traces]
+    injective, surjective, codomain = len(set(images)) == len(images) and not problems, True, 0
+    for comp in components:
+        comp_fam, offset, _ = bijections._TARGETS[comp]
+        left = unmapped.get((comp_fam, offset))
+        want = set(family_elements(comp_fam, n + offset) if left is None else left)
+        hit = {out for tag, out in images if tag == comp}
+        blocks[f"image:{comp}"], blocks[f"codomain:{comp}"] = len(hit & want), len(want)
+        codomain += len(want)
+        if hit != want:
+            surjective = False
+            strays = sorted(map(str, hit - want))
+            problems.append(f"component {comp}: hit {len(hit & want)} of {len(want)} elements"
+                            + (f"; {len(strays)} images outside it, e.g. {'; '.join(strays[:3])}"
+                               if strays else ""))
+    if theorem == "T1":
+        problems += reference_round_trip(traces, n)
+    return {"domain_size": domain, "codomain_size": codomain, "blocks": blocks,
+            "injective": injective, "surjective": surjective, "problems": sorted(problems)}
+
+
+def reference_round_trip(traces, n):
+    # every mu in pex(n) inverted once against the first trace onto it, the
+    # forward image mapped again where that inverse is not the trace's input,
+    # then every other trace (outputs outside pex(n), collisions) inverted
+    problems, by_output, rest = [], {}, []
+    for tr in traces:
+        if by_output.setdefault(tr.output, tr) is not tr:
+            rest.append(tr)
+
+    def invert(mu, tr):
+        try:
+            back = bijections.inv_t1(mu, n)
+        except Exception as exc:
+            problems.append(f"inverse({mu}): {exc}")
+            return None
+        if tr is not None and back != (tr.input, tr.source_tag):
+            problems.append(f"inverse mismatch: {tr.output} -> ({back[0]}, {back[1]}), "
+                            f"expected ({tr.input}, {tr.source_tag})")
+        return back if tr is None or back != (tr.input, tr.source_tag) else None
+
+    for mu in family_elements(FamilySpec("PEX"), n):
+        back = invert(mu, by_output.pop(mu, None))
+        if back is None:
+            continue
+        try:
+            if bijections.map_t1(*back, n).output != mu:
+                problems.append(f"forward(inverse({mu})) != {mu}")
+        except Exception as exc:
+            problems.append(f"forward(inverse({mu})): {exc}")
+    for tr in (*by_output.values(), *rest):
+        invert(tr.output, tr)
+    return problems
+
+
+def audited(theorem, n):
+    # the fields reference_audit gives, from the audit under test; T3's
+    # report is read before verify_t3 renames its blocks
+    r = bijections._audit(theorem, n) if theorem == "T3" else verify_bijection(theorem, n)
+    return {"domain_size": r.domain_size, "codomain_size": r.codomain_size,
+            "blocks": r.blocks, "injective": r.injective, "surjective": r.surjective,
+            "problems": sorted(r.problems)}
+
+
+def _replacing(name, change):
+    # a mutation of the map or inverse `name`: each result passes through change
+    real = getattr(bijections, name)
+
+    def mutated(*args):
+        return change(real(*args))
+    return mutated
+
+
+_REAL_MAP_T4 = bijections.map_t4
+
+
+def _raising_on_seven(*args):
+    if str(args[0]) == "7":
+        raise PreconditionError("broken")
+    return _REAL_MAP_T4(*args)
+
+
+_OTHER_TAG = {SOURCE_N: SOURCE_N_MINUS_1, SOURCE_N_MINUS_1: SOURCE_N}
+
+# (theorem, patched name, mutation) for the mutations of TestAuditFailures
+# and the CLI tests: wrong outputs, a raising map, a relabelled component,
+# a missing sign flip and a swapped inverse tag
+MUTATIONS = {
+    "T2-branch-A-keeps-input": ("T2", "map_t2", lambda: _replacing(
+        "map_t2", lambda tr: dataclasses.replace(tr, output=tr.input)
+        if tr.branch == "A" else tr)),
+    "T1-f3-one-part-heavier": ("T1", "map_t1", lambda: _replacing(
+        "map_t1", lambda tr: dataclasses.replace(tr, output=tr.output.add_plain(1))
+        if tr.branch == "f3" else tr)),
+    "T4e-raises-on-7": ("T4e", "map_t4", lambda: _raising_on_seven),
+    "T2-POEX-relabelled": ("T2", "map_t2", lambda: _replacing(
+        "map_t2", lambda tr: dataclasses.replace(tr, target_tag="PE-copy1")
+        if tr.target_tag == "POEX" else tr)),
+    "T3-unsigned": ("T3", "map_t3_even", lambda: _replacing(
+        "map_t3_even", lambda tr: dataclasses.replace(tr, sign_flip=False))),
+    "T1-inverse-tag-swapped": ("T1", "inv_t1", lambda: _replacing(
+        "inv_t1", lambda back: (back[0], _OTHER_TAG[back[1]]))),
+}
+
+
+class TestCountCertifiedAudit:
+    # coverage from exact counts against the set-based reference above
+
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4e", "T4o"])
+    def test_equals_the_set_based_reference(self, theorem):
+        for n in range(IDENTITY_START[theorem], 21):
+            assert audited(theorem, n) == reference_audit(theorem, n), n
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_equals_the_reference_under_mutation(self, monkeypatch, mutation):
+        theorem, name, make = MUTATIONS[mutation]
+        monkeypatch.setattr(bijections, name, make())
+        for n in range(IDENTITY_START[theorem], 21):
+            assert audited(theorem, n) == reference_audit(theorem, n), n
+        assert not (verify_t3(9) if theorem == "T3" else verify_bijection(theorem, 9)).ok
+
+    @pytest.mark.parametrize("theorem, domain", [
+        ("T1", "spt1"), ("T2", "spt1o"), ("T3", "spt1o"), ("T4e", "be1"), ("T4o", "bo1")])
+    def test_passing_audit_lists_only_its_domain(self, monkeypatch, theorem, domain):
+        listed = []
+
+        def spy(fam, n):
+            listed.append(fam.token)
+            return family_elements(fam, n)
+
+        monkeypatch.setattr(bijections, "family_elements", spy)
+        assert (verify_t3(12) if theorem == "T3" else verify_bijection(theorem, 12)).ok
+        assert set(listed) == {domain}
+
+    @staticmethod
+    def _collide(monkeypatch, theorem, name, n, branch):
+        # send the second trace of `branch` to the output of the first
+        first, second = [tr for tr in bijections.all_traces(theorem, n)
+                         if tr.branch == branch][:2]
+        monkeypatch.setattr(bijections, name, _replacing(
+            name, lambda tr: dataclasses.replace(tr, output=first.output)
+            if (tr.input, tr.source_tag) == (second.input, second.source_tag) else tr))
+        return first, second
+
+    def test_t2_two_inputs_to_one_output(self, monkeypatch):
+        self._collide(monkeypatch, "T2", "map_t2", 7, "A")
+        r = verify_bijection("T2", 7)
+        assert not r.ok and not r.injective and not r.surjective
+        assert not r.contract_violations
+        assert r.problems == ["component PE-copy1: hit 7 of 8 elements"]
+        assert audited("T2", 7) == reference_audit("T2", 7)
+
+    def test_t1_two_inputs_to_one_output(self, monkeypatch):
+        first, second = self._collide(monkeypatch, "T1", "map_t1", 8, "f2")
+        size = len(family_elements(FamilySpec("PEX"), 8))
+        r = verify_bijection("T1", 8)
+        assert not r.ok and not r.injective and not r.surjective
+        assert f"component PEX: hit {size - 1} of {size} elements" in r.problems
+        assert (f"inverse mismatch: {first.output} -> ({first.input}, {first.source_tag}), "
+                f"expected ({second.input}, {second.source_tag})") in r.problems
+        # the element the map now misses is named through its inverse
+        assert f"forward(inverse({second.output})) != {second.output}" in r.problems
+        assert audited("T1", 8) == reference_audit("T1", 8)

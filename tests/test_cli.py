@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -651,3 +652,46 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "checks nothing" in err
+
+
+# inputs that could hang, allocate without bound or end in a traceback: a
+# huge or negative --k, a huge --k-max, an order and an n above each cap,
+# and bad OVERPART_ORDER values; each with the exit code it must give
+HOSTILE = [
+    (("count", "spt1", "10", "--k", "100000000000"), None, 0),
+    (("count", "sptk", "10", "--k", "100000000000"), None, 0),
+    (("count", "sptk", "10", "--k", "-3"), None, 2),
+    (("series", "sptko", "--order", "50", "--k", "-3"), None, 2),
+    (("selftest", "--k-max", "100000000"), None, 0),
+    (("series", "sptk", "--order", "50", "--k", "10000000"), None, 0),
+    (("series", "pbar", "--order", str(MAX_ORDER + 1)), None, 2),
+    (("selftest", "--n-max", "4", "--order", str(MAX_ORDER + 1)), None, 2),
+    (("count", "pbar", str(MAX_N + 1)), None, 2),
+    (("table", "--families", "pbar", "--n-max", str(MAX_N + 1)), None, 2),
+    (("verify", "ALL", "--n-max", str(MAX_N + 1)), None, 2),
+    (("selftest", "--n-max", str(MAX_N + 1)), None, 2),
+    *((("check-bijection", theorem, "--n", str(cap + 1)), None, 2)
+      for theorem, cap in MAX_AUDIT_N.items()),
+    *((("series", "pe"), env, 0) for env in ("abc", "-5", "0", "1e3", str(MAX_ORDER + 1))),
+    # map keeps its own code for an input outside the map's domain
+    (("map", "T2", "--input", "5,3", "--n", "8"), None, 3),
+]
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("argv, env, expected", HOSTILE)
+    def test_exits_quickly_with_its_code(self, capsys, monkeypatch, argv, env, expected):
+        if env is None:
+            monkeypatch.delenv("OVERPART_ORDER", raising=False)
+        else:
+            monkeypatch.setenv("OVERPART_ORDER", env)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == expected
+        assert "Traceback" not in err
+        if code:
+            assert out == "" and err.startswith("error: ")
+        if env is not None:
+            assert err.startswith(f"ignoring invalid OVERPART_ORDER={env!r}")
+            assert len(out.splitlines()) == cli.DEFAULT_ORDER + 1
