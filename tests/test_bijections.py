@@ -37,7 +37,7 @@ class TestMapT1:
             map_t1(parse("4,2"), SOURCE_N, 7)
 
     def test_bad_source(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^T1 source must be N or N-1$"):
             map_t1(parse("4,2"), SOURCE_N_MINUS_2, 6)
 
 
@@ -55,6 +55,10 @@ class TestInvT1:
     def test_non_member_rejected(self):
         with pytest.raises(PreconditionError):
             inv_t1(parse("5,1"), 6)
+
+    def test_small_n_rejected(self):
+        with pytest.raises(PreconditionError, match=r"^inverse defined for n > 1$"):
+            inv_t1(parse("1o"), 1)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_round_trip_both_ways(self, n):
@@ -178,6 +182,26 @@ class TestApplyMap:
         with pytest.raises(PreconditionError):
             apply_map("T9", parse("5,1"), 6)
 
+    @pytest.mark.parametrize("theorem, role", [
+        ("T2", "T2"), ("T3", "T3 even-s"), ("T4e", "T4e"), ("T4o", "T4o")])
+    def test_n_minus_1_source_rejected(self, theorem, role):
+        with pytest.raises(PreconditionError, match=rf"^{role} source must be N or N-2$"):
+            apply_map(theorem, parse("4"), 5, SOURCE_N_MINUS_1)
+
+    @pytest.mark.parametrize("n", range(IDENTITY_START["T3"], 15))
+    def test_t3_dispatch_agrees_with_the_audit(self, n):
+        # every spt1o element of both summands: what the audit maps, apply_map
+        # maps alike; what the audit leaves to the matching's image, it refuses
+        spt1o = FamilySpec(SPTKO, 1)
+        for tag, w in ((SOURCE_N, n), (SOURCE_N_MINUS_2, n - 2)):
+            for pi in family_elements(spt1o, w):
+                tr = bijections._audit_trace("T3", pi, tag, n)
+                if tr is None:
+                    with pytest.raises(PreconditionError):
+                        apply_map("T3", pi, n, tag)
+                else:
+                    assert apply_map("T3", pi, n, tag) == tr, (str(pi), tag)
+
 
 class TestTrace:
     def test_json_dict(self):
@@ -228,6 +252,11 @@ class TestAudits:
 
     def test_t3_at_3(self):
         assert verify_t3(3).ok
+
+    def test_t3_signed_identity_failure_reported(self, monkeypatch):
+        monkeypatch.setattr(bijections, "identity_sides", lambda name, n: (1, 2))
+        r = verify_t3(9)
+        assert not r.ok and r.problems == ["signed identity fails: 1 != 2"]
 
     def test_small_ranges(self):
         for n in range(2, 14):

@@ -167,6 +167,10 @@ class TestTable:
         assert code == 0
         assert out.strip().splitlines()[-1] == "0,0,1"
 
+    def test_no_families_rejected(self, capsys):
+        assert run(capsys, "table", "--families", ",", "--n-max", "3") == (
+            2, "", "error: no families given\nrun 'overpart table --help' for usage\n")
+
     def test_pbar(self, capsys):
         code, out, _ = run(capsys, "table", "--families", "pbar",
                            "--n-max", "4", "--format", "csv")
@@ -221,6 +225,21 @@ class TestMap:
                            "--source", "N", "--n", "6")
         assert code == 0
         assert "branch=f2" in out and "output=5,1o" in out
+
+    def test_t3_ambiguous_s2_text(self, capsys):
+        assert run(capsys, "map", "T3", "--input", "4,2o,2,1", "--n", "9") == (
+            0, "theorem=T3 branch=odd-plain source=N input=4,2o,2,1 output=4,2o,1 "
+               "target=SPT1O-N-2 signFlip=true ambiguousS2=true\n", "")
+
+    @pytest.mark.parametrize("theorem, literal, message", [
+        ("T1", "4", "T1 source must be N or N-1"),
+        ("T2", "5", "T2 source must be N or N-2"),
+        ("T4o", "5", "T4o source must be N or N-2"),
+    ])
+    def test_bad_source_exits_3(self, capsys, theorem, literal, message):
+        source = "N-2" if theorem == "T1" else "N-1"
+        assert run(capsys, "map", theorem, "--input", literal, "--n", "6",
+                   "--source", source) == (3, "", f"error: {message}\n")
 
     def test_t3_dispatch(self, capsys):
         code, out, _ = run(capsys, "map", "T3", "--input", "8,1", "--n", "9")
@@ -322,6 +341,12 @@ class TestCheckBijection:
         assert "  problem: component POEX: hit 0 of 4 elements" in out.splitlines()
         # the relabelled images have the right weight but are not in pe(6)
         assert out.count("  violation: ") == 4
+
+    def test_failed_t3_signed_identity_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(bijections, "identity_sides", lambda name, n: (1, 2))
+        assert run(capsys, "check-bijection", "T3", "--n", "9") == (
+            1, "T3 n=9: matching 14 -> 14, even 6 -> 6 FAIL\n"
+               "  problem: signed identity fails: 1 != 2\n", "")
 
     def test_failed_t1_round_trip_exits_1_with_problems(self, capsys, monkeypatch):
         # f3 images one part heavier leave pex(8), so inv_t1 rejects them
@@ -503,6 +528,12 @@ class TestSelftest:
                            "--order", "12")
         assert code == 0
         assert "selftest PASS" in out
+
+    def test_mismatch_lines_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cross_check", lambda *args: [("pbar", 3, 8, 9)])
+        assert run(capsys, "selftest", "--n-max", "3") == (
+            1, "MISMATCH pbar n=3: enumeration 8, series 9\n"
+               "selftest FAIL: families x n <= 3, k <= 4, order 3\n", "")
 
     def test_n0(self, capsys):
         code, out, _ = run(capsys, "selftest", "--n-max", "0", "--k-max", "1")

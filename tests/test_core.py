@@ -95,6 +95,15 @@ class TestInvariants:
         with pytest.raises(OverpartitionError):
             OverPartition([(3, 1, 2)])
 
+    @pytest.mark.parametrize("entries, message", [
+        ([(0, 1, 0)], "part value must be positive, got 0"),
+        ([(3, -1, 1)], "negative plain count for value 3"),
+    ])
+    def test_field_error_texts(self, entries, message):
+        with pytest.raises(OverpartitionError) as info:
+            OverPartition(entries)
+        assert type(info.value) is OverpartitionError and str(info.value) == message
+
     @pytest.mark.parametrize("build, fields", [
         (OverPartition, [(2.7, 1, 0)]),
         (OverPartition, [("4", "1", 0)]),
@@ -257,6 +266,10 @@ class TestMembership:
                             (BEK, False), (BOK, False)]:
             assert is_member(empty, FamilySpec(fid)) is expect
 
+    def test_overlined_smallest_plain_part_explained(self):
+        assert why_not_member(parse("3o,3"), FamilySpec(SPTK, 1)) == (
+            "the smallest plain part 3 also carries an overline")
+
     @pytest.mark.parametrize("n", range(15))
     def test_family_nesting(self, n):
         fams = {fid: FamilySpec(fid) for fid in
@@ -326,6 +339,25 @@ class TestSurgery:
 
     def test_remove_overline(self):
         assert parse("4o,4,1").remove_overline(4) == parse("4,1")
+
+    @pytest.mark.parametrize("move, value, error, message", [
+        ("add_plain", 0, OverpartitionError, "part value must be positive, got 0"),
+        ("add_overline", -1, OverpartitionError, "part value must be positive, got -1"),
+        ("add_overline", 4, CollisionError, "value 4 is already overlined"),
+        ("remove_plain", 4, OverpartitionError, "no plain copy of 4 to remove"),
+        ("remove_plain", 2, OverpartitionError, "no part of value 2"),
+        ("remove_overline", 1, OverpartitionError, "no overlined copy of 1 to remove"),
+        ("remove_overline", 2, OverpartitionError, "no part of value 2"),
+    ])
+    def test_error_texts(self, move, value, error, message):
+        with pytest.raises(OverpartitionError) as info:
+            getattr(parse("4o,1"), move)(value)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_added_values_must_be_integers(self):
+        for move in ("add_plain", "add_overline"):
+            with pytest.raises(TypeError):
+                getattr(parse("4o,1"), move)(2.0)
 
     def test_trusted_results_match_validated_rebuild(self):
         # every legal move on every overpartition of n <= 12: surgery skips
