@@ -18,8 +18,9 @@ that state yields, or 0 when it yields none; the walk stops at that
 first member.  So the walk skips a tail that completes no member, and
 after each run value it goes straight to the next value that starts a
 member.  At a leaf each head variant is tested with the signature the
-walk carried down.  ``overpartitions`` is the walk that skips nothing.
-Only the 32 most recently used family listings are kept.
+walk carried down.  ``overpartitions`` is the walk of the PBAR family,
+whose every subtree holds a member.  Only the 32 most recently used
+family listings are kept.
 
 Counting lists nothing (Andrews, "The number of smallest parts in the
 partitions of n", 2008; Corteel and Lovejoy, "Overpartitions", 2004).
@@ -73,7 +74,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .core import (
-    FAMILY_IDS, SIGNED_REFINEMENTS, FamilySpec, OverPartition, Signature,
+    FAMILY_IDS, PBAR, SIGNED_REFINEMENTS, FamilySpec, OverPartition, Signature,
     _canonical, _signature_of, member, signature,
 )
 
@@ -96,20 +97,20 @@ _ABOVE: list[list[Counter]] = []
 # that ask, and shared by every weight
 _REACH: defaultdict[FamilySpec, dict[int, int]] = defaultdict(dict)
 
+_PBAR = FamilySpec(PBAR)
 
-def _runs(remaining: int, cap: int, fam: FamilySpec | None = None, odd=0, even=0, parity=0):
+
+def _runs(remaining: int, cap: int, fam: FamilySpec = _PBAR, odd=0, even=0, parity=0):
     # each way to follow earlier runs with these run-state totals by runs
     # of weight remaining and values up to cap, in the order of the module
-    # docstring, that makes a member of fam (any overpartition when fam is
-    # None): its runs, and the signature of the whole overpartition.  The
-    # two variants of a head share each tail's signature, and differ only
-    # as the last run, with no tail.  A tail no member completes is
-    # skipped, and so is every value below v down to the next one that
-    # starts a member
-    if not remaining:  # n = 0: the empty overpartition
-        if fam is None or member(signature(()), fam):
-            yield (), signature(())
-    reach = None if fam is None else _REACH[fam]
+    # docstring, that makes a member of fam: its runs, and the signature of
+    # the whole overpartition.  The two variants of a head share each
+    # tail's signature, and differ only as the last run, with no tail.  A
+    # tail no member completes is skipped, and so is every value below v
+    # down to the next one that starts a member
+    if not remaining and member(signature(()), fam):  # n = 0: the empty overpartition
+        yield (), signature(())
+    reach = _REACH[fam]
     v = min(remaining, cap)
     while v:
         o, e = min(odd + (v & 1), 2), min(even + 1 - (v & 1), 2)
@@ -119,13 +120,13 @@ def _runs(remaining: int, cap: int, fam: FamilySpec | None = None, odd=0, even=0
             if not rest:
                 for head in head_plain, head_over:
                     sig = _signature_of(o, e, p, (v & 1, v == 1, head[1], head[2]))
-                    if fam is None or member(sig, fam):
+                    if member(sig, fam):
                         yield (head,), sig
-            elif reach is None or _first_value(reach, fam, rest, v - 1, o, e, p):
+            elif _first_value(reach, fam, rest, v - 1, o, e, p):
                 for tail, sig in _runs(rest, v - 1, fam, o, e, p):
                     yield (head_plain,) + tail, sig
                     yield (head_over,) + tail, sig
-        v = v - 1 if reach is None else _first_value(reach, fam, remaining, v - 1, odd, even, parity)
+        v = _first_value(reach, fam, remaining, v - 1, odd, even, parity)
 
 
 def _first_value(reach: dict[int, int], fam: FamilySpec, remaining: int, cap: int,
@@ -150,8 +151,9 @@ def _weight(n: int) -> int:
 
 def overpartitions(n: int) -> Iterator[OverPartition]:
     """Yield every overpartition of ``n`` once, in the documented order."""
-    # the runs are canonical by construction, so nothing is revalidated,
-    # and each object holds the run tuples _runs shares across its tails
+    # the PBAR family walk; the runs are canonical by construction, so
+    # nothing is revalidated, and each object holds the run tuples _runs
+    # shares across its tails
     return (_canonical(runs) for runs, _ in _runs(_weight(n), n))
 
 

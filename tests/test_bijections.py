@@ -384,14 +384,14 @@ class TestAuditFailures:
         assert "forward(inverse(8o)) != 8o" in r.problems
 
     def test_t1_swapped_inverse_tag_is_reported(self, monkeypatch):
-        real = bijections.inv_t1
+        real = bijections._inv_t1
         other = {SOURCE_N: SOURCE_N_MINUS_1, SOURCE_N_MINUS_1: SOURCE_N}
 
-        def swapped(mu, n):
-            pre, tag = real(mu, n)
+        def swapped(mu):
+            pre, tag = real(mu)
             return pre, other[tag]
 
-        monkeypatch.setattr(bijections, "inv_t1", swapped)
+        monkeypatch.setattr(bijections, "_inv_t1", swapped)
         r = verify_bijection("T1", 8)
         assert not r.ok and not r.contract_violations
         assert any(p.startswith("inverse mismatch: 6,2o -> ") for p in r.problems)
@@ -399,20 +399,20 @@ class TestAuditFailures:
                 "expected 8") in r.problems
 
     def test_t1_inverse_mismatch_prints_both_pairs_alike(self, monkeypatch):
-        real = bijections.inv_t1
+        real = bijections._inv_t1
         other = {SOURCE_N: SOURCE_N_MINUS_1, SOURCE_N_MINUS_1: SOURCE_N}
 
-        def swapped(mu, n):
-            pre, tag = real(mu, n)
+        def swapped(mu):
+            pre, tag = real(mu)
             return pre, other[tag]
 
-        monkeypatch.setattr(bijections, "inv_t1", swapped)
+        monkeypatch.setattr(bijections, "_inv_t1", swapped)
         r = verify_bijection("T1", 8)
         assert "inverse mismatch: 6,2o -> (6,1, N), expected (6,1, N-1)" in r.problems
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_t1_round_trip_inverts_each_pex_element_once(self, monkeypatch, n):
-        calls = {"map_t1": 0, "inv_t1": 0}
+        calls = {"map_t1": 0, "_inv_t1": 0}
 
         def counted(name):
             real = getattr(bijections, name)
@@ -428,7 +428,7 @@ class TestAuditFailures:
         spt1 = FamilySpec("SPTK", 1)
         assert calls == {
             "map_t1": len(family_elements(spt1, n)) + len(family_elements(spt1, n - 1)),
-            "inv_t1": len(family_elements(FamilySpec("PEX"), n)),
+            "_inv_t1": len(family_elements(FamilySpec("PEX"), n)),
         }
 
 
@@ -581,8 +581,8 @@ MUTATIONS = {
         if tr.target_tag == "POEX" else tr)),
     "T3-unsigned": ("T3", "map_t3_even", lambda: _replacing(
         "map_t3_even", lambda tr: dataclasses.replace(tr, sign_flip=False))),
-    "T1-inverse-tag-swapped": ("T1", "inv_t1", lambda: _replacing(
-        "inv_t1", lambda back: (back[0], _OTHER_TAG[back[1]]))),
+    "T1-inverse-tag-swapped": ("T1", "_inv_t1", lambda: _replacing(
+        "_inv_t1", lambda back: (back[0], _OTHER_TAG[back[1]]))),
 }
 
 
