@@ -11,7 +11,7 @@ from overpart.bijections import (
     PreconditionError, apply_map, inv_t1, map_t1, map_t2, map_t3_even,
     map_t3_odd, map_t4, verify_bijection, verify_t3,
 )
-from overpart.enumeration import IDENTITY_START, family_elements
+from overpart.enumeration import IDENTITY_START, family_elements, identity_sides
 
 
 class TestMapT1:
@@ -253,6 +253,13 @@ class TestAudits:
     def test_t3_at_3(self):
         assert verify_t3(3).ok
 
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T4e", "T4o"])
+    def test_sides_match_the_identity_table(self, theorem):
+        # each theorem is stated twice: as an audit row and as a counted identity
+        for n in range(IDENTITY_START[theorem], 26):
+            r = verify_bijection(theorem, n)
+            assert (r.domain_size, r.codomain_size) == identity_sides(theorem, n), n
+
     def test_t3_signed_identity_failure_reported(self, monkeypatch):
         monkeypatch.setattr(bijections, "identity_sides", lambda name, n: (1, 2))
         r = verify_t3(9)
@@ -409,6 +416,32 @@ class TestAuditFailures:
         monkeypatch.setattr(bijections, "_inv_t1", swapped)
         r = verify_bijection("T1", 8)
         assert "inverse mismatch: 6,2o -> (6,1, N), expected (6,1, N-1)" in r.problems
+
+    def test_t1_heavy_images_problems_in_order(self, monkeypatch):
+        theorem, name, make = MUTATIONS["T1-f3-one-part-heavier"]
+        monkeypatch.setattr(bijections, name, make())
+        strays = ["8o", "6,2o", "6o,2o", "5,3o", "5o,3o", "3,3,2o", "3o,3,2o"]
+        assert verify_bijection(theorem, 8).problems == [
+            "component PEX: hit 29 of 36 elements; 7 images outside it, "
+            "e.g. 3,3,2o,1; 3o,3,2o,1; 5,3o,1",
+            *(f"inverse({mu},1): T1 inverse: {mu},1 has weight 9, expected 8"
+              for mu in strays),
+            *(f"forward(inverse({mu})) != {mu}" for mu in strays)]
+
+    def test_t1_swapped_inverse_tag_problems_in_order(self, monkeypatch):
+        # each trace's mismatch line is followed by its forward line
+        expected = []
+        for tr in bijections.all_traces("T1", 8):
+            other = _OTHER_TAG[tr.source_tag]
+            want = 8 + {SOURCE_N: 0, SOURCE_N_MINUS_1: -1}[other]
+            expected += [
+                f"inverse mismatch: {tr.output} -> ({tr.input}, {other}), "
+                f"expected ({tr.input}, {tr.source_tag})",
+                f"forward(inverse({tr.output})): T1 source {other}: {tr.input} "
+                f"has weight {tr.input.weight}, expected {want}"]
+        theorem, name, make = MUTATIONS["T1-inverse-tag-swapped"]
+        monkeypatch.setattr(bijections, name, make())
+        assert verify_bijection(theorem, 8).problems == expected
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_t1_round_trip_inverts_each_pex_element_once(self, monkeypatch, n):

@@ -270,6 +270,10 @@ class TestMembership:
         assert why_not_member(parse("3o,3"), FamilySpec(SPTK, 1)) == (
             "the smallest plain part 3 also carries an overline")
 
+    def test_overlined_part_below_smallest_plain_part_explained(self):
+        assert why_not_member(parse("3,1o"), FamilySpec(SPTK, 1)) == (
+            "overlined part 1 is not greater than the smallest plain part 3")
+
     @pytest.mark.parametrize("n", range(15))
     def test_family_nesting(self, n):
         fams = {fid: FamilySpec(fid) for fid in

@@ -141,6 +141,10 @@ class TestFamilySeries:
             assert tot % 2 == 0
             assert tot // 2 == ce.coefficient(n)
 
+    def test_odd_signed_total_raises(self):
+        with pytest.raises(ArithmeticError, match=r"^signed decomposition produced an odd total$"):
+            qseries._halved(Series(1, (1, 0)), Series(1, (0, 0)), True)
+
     def test_sptko_k2_matches_enumeration(self):
         ser = family_series(FamilySpec(SPTKO, 2), 25)
         for n in range(26):
