@@ -50,9 +50,10 @@ it lies inside its component when its weight and signature put it
 there, and is a stray otherwise.  Every component but T3's matching is
 onto when its distinct images inside it number its size, an exact
 count from the run-state memo of :mod:`overpart.enumeration`, and it
-has no stray.  T1's inverse is applied once to each trace's output; a
-codomain is listed only when a failing T1 audit must name the elements
-it missed.
+has no stray.  T1's inverse is checked in the same pass: each trace's
+output is inverted once, as the trace is checked, and must give back
+its input and source.  A codomain is listed only when a failing T1
+audit must name the elements it missed.
 """
 
 from __future__ import annotations
@@ -383,13 +384,38 @@ def _audit_trace(theorem: str, pi: OverPartition, source_tag: str,
     return apply_map(theorem, pi, n, source_tag)
 
 
+def _check_t1_inverse(mu: OverPartition, n: int, inside: bool, want, late: list) -> None:
+    # T1's inverse of mu must give want, a trace's (input, source); an image
+    # inside pex(n) is inverted unchecked, a stray by inv_t1.  When it does
+    # not, the inverse is mapped forward and must give mu back.  With want
+    # None (an element of pex(n) no trace hit) only that forward check is
+    # made, to name mu
+    try:
+        back = _inv_t1(mu) if inside else inv_t1(mu, n)
+    except Exception as exc:  # a broken inverse is reported, not raised
+        late.append(f"inverse({mu}): {exc}")
+        return
+    if back == want:
+        return
+    if want is not None:
+        late.append(f"inverse mismatch: {mu} -> ({back[0]}, {back[1]}), "
+                    f"expected ({want[0]}, {want[1]})")
+    try:
+        if map_t1(*back, n).output != mu:
+            late.append(f"forward(inverse({mu})) != {mu}")
+    except Exception as exc:  # a broken map is reported, not raised
+        late.append(f"forward(inverse({mu})): {exc}")
+
+
 def _audit(theorem: str, n: int) -> VerificationReport:
     # weight, membership and (if asked) sign flip of every image, injectivity
     # across the tagged codomain, and coverage of every component, certified
-    # by counting the distinct images inside it: only the domain is listed
+    # by counting the distinct images inside it: only the domain is listed.
+    # T1's inverse is checked on each trace as it is made; its lines follow
+    # the component lines
     fam, low, components, flips = _audit_row(theorem, n)
     targets = {tag: _TARGETS[tag] for tag in components}
-    report = VerificationReport(theorem, n, 0, 0, True, True)
+    report, late = VerificationReport(theorem, n, 0, 0, True, True), []
     unmapped = {}  # (family, offset) of a summand -> elements left unmapped
     hits, strays = set(), set()  # distinct (tag, output) inside their component, and not
     for tag in (SOURCE_N, low):
@@ -412,6 +438,8 @@ def _audit(theorem: str, n: int) -> VerificationReport:
             if not inside or flips and not tr.sign_flip:
                 report.contract_violations.append(tr)
             (hits if inside else strays).add((tr.target_tag, tr.output))
+            if theorem == "T1":
+                _check_t1_inverse(tr.output, n, inside, (tr.input, tr.source_tag), late)
         report.domain_size += len(elements) - len(left)
     report.injective = len(hits) + len(strays) == len(report.traces) and not report.problems
     counted = Counter(tag for tag, _ in hits)
@@ -432,6 +460,12 @@ def _audit(theorem: str, n: int) -> VerificationReport:
                 f"component {comp}: hit {matched} of {size} elements"
                 + (f"; {len(outside)} images outside it, e.g. {'; '.join(outside[:3])}"
                    if outside else ""))
+    if theorem == "T1" and report.blocks["image:PEX"] < report.blocks["codomain:PEX"]:
+        hit = {out for _, out in hits | strays}
+        for mu in family_elements(_PEX, n):
+            if mu not in hit:
+                _check_t1_inverse(mu, n, True, None, late)
+    report.problems += late
     return report
 
 
@@ -445,59 +479,23 @@ def all_traces(theorem: str, n: int) -> list[MapTrace]:
             if (tr := _audit_trace(theorem, pi, tag, n)) is not None]
 
 
-def _t1_round_trip(report: VerificationReport, n: int) -> None:
-    # inverse(forward(pi)) == pi for every trace, one inverse per trace, and a
-    # mismatch's inverse is mapped forward.  A passing audit is a bijection, so
-    # forward(inverse(mu)) == mu then holds for every mu in pex(n); pex(n) is
-    # listed only when the count shows the map missed some, to name them
-    def inverse(mu, inside):
-        # an image inside pex(n) is inverted unchecked, a stray by inv_t1
-        try:
-            return _inv_t1(mu) if inside else inv_t1(mu, n)
-        except Exception as exc:  # a broken inverse is reported, not raised
-            report.problems.append(f"inverse({mu}): {exc}")
-
-    def forward(back, mu):
-        try:
-            if map_t1(*back, n).output != mu:
-                report.problems.append(f"forward(inverse({mu})) != {mu}")
-        except Exception as exc:  # a broken map is reported, not raised
-            report.problems.append(f"forward(inverse({mu})): {exc}")
-
-    strays = set(map(id, report.contract_violations))  # T1 checks no sign
-    for tr in report.traces:
-        back = inverse(tr.output, id(tr) not in strays)
-        if back is not None and back != (tr.input, tr.source_tag):
-            report.problems.append(
-                f"inverse mismatch: {tr.output} -> ({back[0]}, {back[1]}), expected "
-                f"({tr.input}, {tr.source_tag})")
-            forward(back, tr.output)
-    if report.blocks["image:PEX"] < report.blocks["codomain:PEX"]:
-        hit = {tr.output for tr in report.traces}
-        for mu in family_elements(_PEX, n):
-            if mu not in hit and (back := inverse(mu, True)) is not None:
-                forward(back, mu)
-
-
 def verify_bijection(theorem: str, n: int) -> VerificationReport:
     """Exhaustively apply the named map on its full tagged domain and
     check membership, weight, injectivity across the tagged codomain,
     and exact coverage of every component, certified by count: a
     component is onto when its distinct images inside it number its
     size from the exact counts, with no image outside it, so no
-    codomain is listed.  For T1 the explicit inverse is applied once to
-    each trace's output and must return that trace's input and source
-    (a mismatch's inverse is also mapped forward);
-    forward(inverse(mu)) == mu for every mu in pex(n) then follows from
-    the bijection, and pex(n) is listed only when the count shows
-    elements left unhit, to name them.  Failures, including exceptions
-    from the maps, are reported, never raised."""
+    codomain is listed.  For T1 the explicit inverse is checked in the
+    same pass: each trace's output is inverted once, as the trace is
+    checked, and must return that trace's input and source (a
+    mismatch's inverse is also mapped forward), and these lines follow
+    the component lines.  forward(inverse(mu)) == mu for every mu in
+    pex(n) then follows from the bijection, and pex(n) is listed only
+    when the count shows elements left unhit, to name them.  Failures,
+    including exceptions from the maps, are reported, never raised."""
     if theorem == "T3":
         raise ValueError("no bijection audit for 'T3' (T3 has its own)")
-    report = _audit(theorem, n)
-    if theorem == "T1":
-        _t1_round_trip(report, n)
-    return report
+    return _audit(theorem, n)
 
 
 def verify_t3(n: int) -> VerificationReport:
