@@ -202,6 +202,27 @@ class TestApplyMap:
                 else:
                     assert apply_map("T3", pi, n, tag) == tr, (str(pi), tag)
 
+    def test_unknown_names_the_map(self):
+        with pytest.raises(PreconditionError, match=r"^unknown map 'T9'$"):
+            apply_map("T9", parse("5,1"), 6)
+
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4e", "T4o"])
+    def test_dispatch_agrees_with_the_audit(self, theorem):
+        # every element of both domain summands, n <= 14: what the audit
+        # maps, apply_map maps alike; what it leaves unmapped (T3's
+        # matching image), the even-s map refuses
+        for n in range(IDENTITY_START[theorem], 15):
+            fam, low, _, _ = bijections._audit_row(theorem, n)
+            for tag in (SOURCE_N, low):
+                for pi in family_elements(fam, n + bijections._OFFSET[tag]):
+                    tr = bijections._audit_trace(theorem, pi, tag, n)
+                    if tr is None:
+                        with pytest.raises(PreconditionError,
+                                           match=r"^T3 even-s map needs an even smallest"):
+                            apply_map(theorem, pi, n, tag)
+                    else:
+                        assert apply_map(theorem, pi, n, tag) == tr, (str(pi), tag)
+
 
 class TestTrace:
     def test_json_dict(self):
