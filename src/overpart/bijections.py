@@ -31,19 +31,22 @@ T4   be1/bo1(n) u be1/bo1(n-2) -> pe(n-1) u co/ce(n-1)
        E) or CE (variant O); Case II (s odd): delete the 1 when s=1
        from the n summand, otherwise the T2 C/E moves, landing in PE
 
-T1, T2, T3's even-s map and T4 are one labelled-move table: per
-(source, case) it gives the branch, the move and the codomain tag, and
-a case left out is outside the domain.  The moves act on s: keep it,
-delete the 1, overline it, lift it to an overlined s+1, lower it to an
-overlined s-1, or raise it to a plain s+1.  The case is "one" for s=1
-in the n summand, "gap" or "adjacent" in T1's n-1 summand as s2-s > 1
-or not, and the parity of s otherwise.  T3's matching acts on s2, so
-it keeps its own map.
-One audit engine checks every theorem from one row: its domain
-summands, its codomain tags (each defined once with family, weight and
-sign statistic) and whether every trace must flip sign.  A component
-that is also a domain summand (T3's matching) must be hit by exactly
-that summand's unmapped elements.
+Each theorem is one row of one table: its domain family and summands,
+its codomain tags (each defined once with family, weight and sign
+statistic), whether every trace must flip sign, and the labelled moves
+of its map (for T3, of its even-s map).  Per (source, case) the labels
+give the branch, the move and the codomain tag, and a case left out is
+outside the domain.  The moves act on s: keep it, delete the 1,
+overline it, lift it to an overlined s+1, lower it to an overlined
+s-1, or raise it to a plain s+1.  The case is "one" for s=1 in the n
+summand, "gap" or "adjacent" in T1's n-1 summand as s2-s > 1 or not,
+and the parity of s otherwise.  T3's matching acts on s2, so it keeps
+its own map.  One router sends each domain element to its theorem's
+public map; for T3 it picks the matching or the even-s map by s, and
+leaves the other odd-s elements, the matching's image, unmapped.  One
+audit engine checks every theorem from its row.  A component that is
+also a domain summand (T3's matching) must be hit by exactly that
+summand's unmapped elements.
 
 An audit lists only its domain.  Each image is checked as it is made:
 it lies inside its component when its weight and signature put it
@@ -116,35 +119,27 @@ def _t4_labels(refined: str) -> dict:
             (SOURCE_N_MINUS_2, "odd"): ("CaseII-n-2", "raise", "PE")}
 
 
-# labelled map -> (name in messages, labels); labels send (source, case)
+# theorem -> (domain family, its second summand's source tag (the first
+# is N), codomain component tags, whether every trace must flip sign,
+# the map's name in messages, its labels).  Labels send (source, case)
 # to (branch, move, target tag), with case "one" for s=1 in the N
 # summand, "gap" or "adjacent" in T1's N-1 summand as s2 - s > 1 or
 # not, else "even" or "odd" by the parity of s
-_MAPS = {
-    "T1": ("T1", {
+_AUDITS = {
+    "T1": (FamilySpec(SPTK, 1), SOURCE_N_MINUS_1, ("PEX",), False, "T1", {
         (SOURCE_N, "one"): ("f2", "overline", "PEX"), (SOURCE_N, "even"): ("f1", "keep", "PEX"),
         (SOURCE_N, "odd"): ("f1", "keep", "PEX"), (SOURCE_N_MINUS_1, "gap"): ("f3", "lift", "PEX"),
         (SOURCE_N_MINUS_1, "adjacent"): ("f4", "raise", "PEX")}),
-    "T2": ("T2", {
+    "T2": (_SPT1O, SOURCE_N_MINUS_2, ("PE-copy1", "PE-copy2", "POEX"), False, "T2", {
         (SOURCE_N, "one"): ("A", "delete", "PE-copy1"), (SOURCE_N, "even"): ("B", "lower", "POEX"),
         (SOURCE_N, "odd"): ("C", "lower", "PE-copy2"),
         (SOURCE_N_MINUS_2, "even"): ("D", "raise", "POEX"),
         (SOURCE_N_MINUS_2, "odd"): ("E", "raise", "PE-copy2")}),
-    "T3": ("T3 even-s", {(SOURCE_N, "even"): ("even-n", "lower", "POEX"),
-                         (SOURCE_N_MINUS_2, "even"): ("even-n-2", "raise", "POEX")}),
-    "T4e": ("T4e", _t4_labels("CO")),
-    "T4o": ("T4o", _t4_labels("CE")),
-}
-
-
-# theorem -> (domain family, its second summand's source tag (the first
-# is N), codomain component tags, whether every trace must flip sign)
-_AUDITS = {
-    "T1": (FamilySpec(SPTK, 1), SOURCE_N_MINUS_1, ("PEX",), False),
-    "T2": (_SPT1O, SOURCE_N_MINUS_2, ("PE-copy1", "PE-copy2", "POEX"), False),
-    "T3": (_SPT1O, SOURCE_N_MINUS_2, ("SPT1O-N", "SPT1O-N-2", "POEX"), True),
-    "T4e": (FamilySpec(BEK, 1), SOURCE_N_MINUS_2, ("PE", "CO"), False),
-    "T4o": (FamilySpec(BOK, 1), SOURCE_N_MINUS_2, ("PE", "CE"), False),
+    "T3": (_SPT1O, SOURCE_N_MINUS_2, ("SPT1O-N", "SPT1O-N-2", "POEX"), True, "T3 even-s", {
+        (SOURCE_N, "even"): ("even-n", "lower", "POEX"),
+        (SOURCE_N_MINUS_2, "even"): ("even-n-2", "raise", "POEX")}),
+    "T4e": (FamilySpec(BEK, 1), SOURCE_N_MINUS_2, ("PE", "CO"), False, "T4e", _t4_labels("CO")),
+    "T4o": (FamilySpec(BOK, 1), SOURCE_N_MINUS_2, ("PE", "CE"), False, "T4o", _t4_labels("CE")),
 }
 
 
@@ -241,9 +236,8 @@ def _flip(st_in: Stats, out: OverPartition, target_tag: str) -> bool:
 
 
 def _labelled_map(theorem: str, pi: OverPartition, source_tag: str, n: int) -> MapTrace:
-    # the moves of T1, T2, T3's even-s map and T4, labelled by _MAPS
-    role, labels = _MAPS[theorem]
-    fam, low = _AUDITS[theorem][:2]
+    # the moves of T1, T2, T3's even-s map and T4, labelled in _AUDITS
+    fam, low, _, _, role, labels = _AUDITS[theorem]
     if source_tag not in (SOURCE_N, low):
         raise PreconditionError(f"{role} source must be N or {low}")
     st = _require(pi, fam, n + _OFFSET[source_tag], f"{role} source {source_tag}")
@@ -347,25 +341,9 @@ def apply_map(theorem: str, pi: OverPartition, n: int,
     the matching move (source N implied), even s uses the even-s map
     with the given source (default N).
     """
+    # the audit's router; the even-s map words the refusal of T3's other inputs
     source_tag = source_tag or SOURCE_N
-    if theorem == "T1":
-        return map_t1(pi, source_tag, n)
-    if theorem == "T2":
-        return map_t2(pi, source_tag, n)
-    if theorem == "T3":  # the even-s map words the refusal of any other input
-        return _t3_trace(pi, source_tag, n) or map_t3_even(pi, source_tag, n)
-    if theorem in ("T4e", "T4o"):
-        return map_t4(pi, source_tag, n, theorem[-1].upper())
-    raise PreconditionError(f"unknown map {theorem!r}")
-
-
-def _t3_trace(pi: OverPartition, source_tag: str, n: int) -> MapTrace | None:
-    # T3 maps the N summand's s=1 elements and every even-s element; its
-    # other odd-s elements are the matching's image and get None
-    s = stats(pi).s
-    if s == 1 and source_tag == SOURCE_N:
-        return map_t3_odd(pi, n)
-    return map_t3_even(pi, source_tag, n) if s and s % 2 == 0 else None
+    return _audit_trace(theorem, pi, source_tag, n) or map_t3_even(pi, source_tag, n)
 
 
 def _audit_row(theorem: str, n: int):
@@ -374,14 +352,24 @@ def _audit_row(theorem: str, n: int):
     start = IDENTITY_START[theorem]
     if n < start:
         raise ValueError(f"{theorem} is audited for n > {start - 1}")
-    return _AUDITS[theorem]
+    return _AUDITS[theorem][:4]
 
 
 def _audit_trace(theorem: str, pi: OverPartition, source_tag: str,
                  n: int) -> MapTrace | None:
-    if theorem == "T3":
-        return _t3_trace(pi, source_tag, n)
-    return apply_map(theorem, pi, n, source_tag)
+    # the one router: each theorem's public map, and for T3 the matching
+    # on the N summand's s=1 elements and the even-s map on every even-s
+    # one; T3's other odd-s elements are the matching's image and get None
+    if theorem in ("T1", "T2"):
+        return (map_t1 if theorem == "T1" else map_t2)(pi, source_tag, n)
+    if theorem in ("T4e", "T4o"):
+        return map_t4(pi, source_tag, n, theorem[-1].upper())
+    if theorem != "T3":
+        raise PreconditionError(f"unknown map {theorem!r}")
+    s = stats(pi).s
+    if s == 1 and source_tag == SOURCE_N:
+        return map_t3_odd(pi, n)
+    return map_t3_even(pi, source_tag, n) if s and s % 2 == 0 else None
 
 
 def _check_t1_inverse(mu: OverPartition, n: int, inside: bool, want, late: list) -> None:

@@ -87,7 +87,9 @@ class OverPartition(tuple):
     overlined copy, ``over`` 0 or 1), with strictly decreasing values,
     so they are immutable, hashable, and cheaply comparable.  The
     triples are exact tuples of ints, which the garbage collector stops
-    tracking, so cached listings add nothing to its collections.
+    tracking; the OverPartition holding them, a tuple subclass, stays
+    tracked, so each element of a cached listing is one object its
+    collections still visit.
     Construct from entries (validated), from expanded parts with
     :meth:`from_parts`, or from a literal with :func:`parse`.
     Enumeration and entry surgery skip revalidation, because their

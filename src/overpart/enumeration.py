@@ -26,7 +26,8 @@ Counting lists nothing (Andrews, "The number of smallest parts in the
 partitions of n", 2008; Corteel and Lovejoy, "Overpartitions", 2004).
 A memo counts, by run state, the overpartitions of m whose parts all
 exceed s, for every m and s up to the largest weight asked for; it is
-filled without recursion and shared by every weight.  Each
+filled without recursion, by one thread at a time under a lock, and
+shared by every weight and thread.  Each
 overpartition of n is its smallest run (t parts of value v, the first
 plain or overlined) above an overpartition of n - v*t with parts above
 v, so the memo gives how many overpartitions of n have each signature.
@@ -69,6 +70,7 @@ which must reproduce T2 and T3.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter, defaultdict
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -90,6 +92,7 @@ __all__ = [
 # state the overpartitions of m whose parts all exceed s (s <= m), one
 # row per m, shared by every weight
 _ABOVE: list[list[Counter]] = []
+_FILLING = threading.Lock()  # held while rows are added to _ABOVE
 
 # per family, the packed state (remaining, cap, odd, even, parity) of a
 # subtree -> the value of the first run of the first member that the
@@ -170,14 +173,19 @@ def _above(m: int, s: int) -> Counter:
     # ascending and each row by s descending, so every entry reads filled
     # ones only: at s = m there is only the empty overpartition of 0, and
     # the entry for s = v - 1 is the one for s = v plus the overpartitions
-    # whose smallest run has value v, each with a plain or an overlined head
-    while len(_ABOVE) <= m:
-        row = [Counter({(0, 0, 0): 1} if not _ABOVE else ())]
-        for v in range(len(_ABOVE), 0, -1):
-            row.append(Counter(row[-1]))
-            for _, _, state, count in _smallest_runs(len(_ABOVE), (v,)):
-                row[-1][state] += 2 * count
-        _ABOVE.append(row[::-1])
+    # whose smallest run has value v, each with a plain or an overlined head.
+    # One thread fills at a time, since a row's index is len(_ABOVE) while
+    # it is built; the filling thread reads filled rows only, so its own
+    # calls here do not take the lock again
+    if len(_ABOVE) <= m:
+        with _FILLING:
+            while len(_ABOVE) <= m:
+                row = [Counter({(0, 0, 0): 1} if not _ABOVE else ())]
+                for v in range(len(_ABOVE), 0, -1):
+                    row.append(Counter(row[-1]))
+                    for _, _, state, count in _smallest_runs(len(_ABOVE), (v,)):
+                        row[-1][state] += 2 * count
+                _ABOVE.append(row[::-1])
     return _ABOVE[m][min(s, m)]
 
 

@@ -105,12 +105,12 @@ def _backward_pass(order: int, z: int, split: bool, k_top: int):
     and one over odd values.  At each s, q^(k*s) times P_s (for the
     split walk, the product of the parity opposite to s) is added into
     column k, for k <= K_COLUMNS and k = ``k_top``; then the factor of
-    s joins the running product of its parity.  Returns ``(p0, p1,
-    columns)``: P_0 (the even product when split), P_1 (the odd product
-    when split), and a dict from k to the sum over s >= 1 of q^(k*s)
-    P_s.  Each is a tuple of q^0 .. q^order, so an entry holds
-    O(order*k) integers, and every running product handed to
-    ``_times_part_factor`` is 1 plus terms above q^s."""
+    s joins the running product of its parity.  Returns ``(evens, odds,
+    columns)``: the two final running products, over even and over odd
+    values when split, else P_0 twice, and a dict from k to the sum over
+    s >= 1 of q^(k*s) P_s.  Each is a tuple of q^0 .. q^order, so an
+    entry holds O(order*k) integers, and every running product handed
+    to ``_times_part_factor`` is 1 plus terms above q^s."""
     # the even and the odd running product, one list twice unless split
     prods = ([1] + [0] * order, [1] + [0] * order) if split else ([1] + [0] * order,) * 2
     columns = {k: [0] * (order + 1) for k in (*range(1, K_COLUMNS + 1), k_top)}
@@ -120,10 +120,8 @@ def _backward_pass(order: int, z: int, split: bool, k_top: int):
             if (base := k * s) <= order:  # P_s is 1 plus terms above q^s
                 col[base] += 1
                 col[base + s + 1:] = map(add, col[base + s + 1:], above[s + 1:order - base + 1])
-        if s == 1:
-            p1 = tuple(prods[1])
         _times_part_factor(prods[s % 2], s, z)
-    return tuple(prods[0]), p1, {k: tuple(col) for k, col in columns.items()}
+    return *map(tuple, prods), {k: tuple(col) for k, col in columns.items()}
 
 
 def _halved(plus: Series, minus: Series, even_half: bool) -> Series:
@@ -153,15 +151,17 @@ def family_series(fam: FamilySpec, order: int, z: int = 1) -> Series:
                           for signed, halves in SIGNED_REFINEMENTS.items() if fid in halves)
         return _halved(family_series(base, order, 1), family_series(base, order, -1),
                        even_half=(fid == even))
-    p0, p1, columns = _backward_pass(order, z, fid in (PE, POEX, SPTKO), max(fam.k, K_COLUMNS))
+    evens, odds, columns = _backward_pass(order, z, fid in (PE, POEX, SPTKO),
+                                          max(fam.k, K_COLUMNS))
     if fid in (PEX, POEX):
-        # value 1 may appear only overlined, a factor 1 + z*q; every value
-        # >= 2 (PEX) or every odd value >= 3 (POEX) is free
-        return Series(order, (p1[0], *map(add if z == 1 else sub, p1[1:], p1)))
+        # value 1 may appear only overlined, a factor 1 + z*q, and every
+        # value >= 2 (PEX) or every odd value >= 3 (POEX) is free: (1 - z*q)
+        # times P_0 or the odd product, whose factor of 1 is (1 + z*q)/(1 - z*q)
+        return Series(order, (odds[0], *map(sub if z == 1 else add, odds[1:], odds)))
     # PBAR and PE read P_0, SPTK and SPTKO their column: the k plain copies
     # of s carry no z weight, only the parts above s (of the parity
     # opposite to s for SPTKO) are signed
-    return Series(order, p0 if fid in (PBAR, PE) else columns[fam.k])
+    return Series(order, evens if fid in (PBAR, PE) else columns[fam.k])
 
 
 def series_for_token(token: str, order: int, default_k: int = 1) -> Series:

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import sys
+import threading
 from collections import Counter, defaultdict
 
 import pytest
@@ -217,6 +218,38 @@ class TestRunStateMemo:
         try:
             assert deep(sys.getrecursionlimit() - depth - 40) == expected
         finally:
+            enumeration._token_counts.cache_clear()
+
+    def test_memo_fills_once_across_threads(self, monkeypatch):
+        # four threads count pbar(30) from an empty memo at once, with the
+        # interpreter switching threads as often as it can: each gets
+        # pbar(30) and the memo ends as a serial count leaves it, with one
+        # row per m = 0 .. 29
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(enumeration, "_ABOVE", [])
+                enumeration._token_counts.cache_clear()
+                start, got = threading.Barrier(4, timeout=60), []
+
+                def count():
+                    start.wait()
+                    try:
+                        got.append(count_many(30, [(FamilySpec(PBAR), False)])[0])
+                    except Exception as exc:  # a torn memo may raise IndexError
+                        got.append(exc)
+
+                threads = [threading.Thread(target=count) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [116_624] * 4
+                assert len(enumeration._ABOVE) == 30
+        finally:
+            sys.setswitchinterval(interval)
             enumeration._token_counts.cache_clear()
 
     def test_signature_cache_keyed_by_value_class(self):
