@@ -11,7 +11,7 @@ from overpart.bijections import (
     PreconditionError, apply_map, inv_t1, map_t1, map_t2, map_t3_even,
     map_t3_odd, map_t4, verify_bijection, verify_t3,
 )
-from overpart.enumeration import IDENTITY_START, family_elements, identity_sides
+from overpart.enumeration import IDENTITY_START, family_elements, identity_sides, overpartitions
 
 
 class TestMapT1:
@@ -222,6 +222,30 @@ class TestApplyMap:
                             apply_map(theorem, pi, n, tag)
                     else:
                         assert apply_map(theorem, pi, n, tag) == tr, (str(pi), tag)
+
+    def test_t3_routes_by_smallest_plain_part(self):
+        # apply_map("T3", ...) on every overpartition of weight w <= 10 at
+        # n = max(w, 3)..w+2, and on [] at n = 3..5, with each source, against
+        # a router reading stats(pi).s: the matching for s = 1 in the N
+        # summand, else the even-s map, which refuses what it does not map
+        def reference(pi, n, tag):
+            if stats(pi).s == 1 and tag == SOURCE_N:
+                return map_t3_odd(pi, n)
+            return map_t3_even(pi, tag, n)
+
+        def outcome(route, *args):
+            try:
+                return route(*args)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        cases = [(pi, n) for w in range(11) for pi in overpartitions(w)
+                 for n in range(max(w, 3), w + 3)]
+        cases += [(parse("[]"), n) for n in range(3, 6)]
+        for pi, n in cases:
+            for tag in (SOURCE_N, SOURCE_N_MINUS_1, SOURCE_N_MINUS_2):
+                want = outcome(reference, pi, n, tag)
+                assert outcome(apply_map, "T3", pi, n, tag) == want, (str(pi), n, tag)
 
 
 class TestTrace:
