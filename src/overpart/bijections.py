@@ -359,17 +359,19 @@ def _audit_trace(theorem: str, pi: OverPartition, source_tag: str,
                  n: int) -> MapTrace | None:
     # the one router: each theorem's public map, and for T3 the matching
     # on the N summand's s=1 elements and the even-s map on every even-s
-    # one; T3's other odd-s elements are the matching's image and get None
+    # one; T3's other odd-s elements are the matching's image and get None.
+    # T3 reads s from the last entry: 1 is the least value, so s = 1 is a
+    # last value 1 with a plain copy, and a member ends in a plain copy of s
     if theorem in ("T1", "T2"):
         return (map_t1 if theorem == "T1" else map_t2)(pi, source_tag, n)
     if theorem in ("T4e", "T4o"):
         return map_t4(pi, source_tag, n, theorem[-1].upper())
     if theorem != "T3":
         raise PreconditionError(f"unknown map {theorem!r}")
-    s = stats(pi).s
-    if s == 1 and source_tag == SOURCE_N:
+    v, plain = pi[-1][:2] if pi else (1, 0)
+    if v == 1 and plain and source_tag == SOURCE_N:
         return map_t3_odd(pi, n)
-    return map_t3_even(pi, source_tag, n) if s and s % 2 == 0 else None
+    return map_t3_even(pi, source_tag, n) if v % 2 == 0 else None
 
 
 def _check_t1_inverse(mu: OverPartition, n: int, inside: bool, want, late: list) -> None:

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .core import ParseError, parse, parse_family_token
+from .core import parse, parse_family_token
 from .enumeration import (
     IDENTITIES, IDENTITY_START, count_many, identity_sides,
 )
@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run '{parser.prog} {args.command} --help' for usage",
               file=sys.stderr)

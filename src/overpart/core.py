@@ -225,10 +225,7 @@ def parse(text: str) -> OverPartition:
         m = _TOKEN.match(token)
         if not m:
             raise ParseError(f"malformed token {token!r}")
-        value = int(m.group(1))
-        if value == 0:
-            raise ParseError("part value must be positive")
-        pairs.append((value, m.group(2) == "o"))
+        pairs.append((int(m.group(1)), m.group(2) == "o"))
     try:
         return OverPartition.from_parts(pairs)
     except OverpartitionError as exc:
@@ -385,7 +382,7 @@ class Family(NamedTuple):
     why: Callable[[OverPartition, int], str] | None
 
 
-def _first_value(entries, parity: int) -> int:
+def _first_of_parity(entries, parity: int) -> int:
     return next(v for v, _, _ in entries if v & 1 == parity)
 
 
@@ -404,18 +401,18 @@ def _why_not_k(pi: OverPartition, k: int) -> str:
 FAMILY_TABLE = {
     PBAR: Family("pbar", None, lambda sig, k: True, None),
     PE: Family("pe", PBAR, lambda sig, k: sig.all_even,
-               lambda pi, k: f"part {_first_value(pi, 1)} is odd; every part must be even"),
+               lambda pi, k: f"part {_first_of_parity(pi, 1)} is odd; every part must be even"),
     PEX: Family("pex", PBAR, lambda sig, k: not sig.plain_one,
                 lambda pi, k: "contains a plain (non-overlined) 1"),
     POEX: Family("poex", PEX, lambda sig, k: sig.all_odd,
-                 lambda pi, k: f"part {_first_value(pi, 0)} is even; every part must be odd"),
+                 lambda pi, k: f"part {_first_of_parity(pi, 0)} is even; every part must be odd"),
     CE: Family("ce", POEX, lambda sig, k: sig.parity == 0,
                lambda pi, k: f"number of parts is {pi.num_parts} (odd); must be even"),
     CO: Family("co", POEX, lambda sig, k: sig.parity == 1,
                lambda pi, k: f"number of parts is {pi.num_parts} (even); must be odd"),
     SPTK: Family("spt{k}", PBAR, lambda sig, k: sig.k == k, _why_not_k),
     SPTKO: Family("spt{k}o", SPTK, lambda sig, k: sig.opposite,
-                  lambda pi, k: (f"part {_first_value(pi[:-1], pi[-1][0] & 1)} has the "
+                  lambda pi, k: (f"part {_first_of_parity(pi[:-1], pi[-1][0] & 1)} has the "
                                  f"same parity as the smallest plain part {pi[-1][0]}")),
     # k of the num_parts parts are copies of s, so num_parts - k lie above s
     BEK: Family("be{k}", SPTKO, lambda sig, k: (sig.parity + k) % 2 == 0,

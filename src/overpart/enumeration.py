@@ -11,11 +11,12 @@ and the parity of the part count, which is all a signature reads of the
 runs above the last one.
 
 A family is listed by one walk that skips every subtree in which no
-overpartition is a member.  Per family, a memo records for each run
-state met, with the weight left and the largest value allowed, the
-value of the first run of the first member that the family's walk from
-that state yields, or 0 when it yields none; the walk stops at that
-first member.  So the walk skips a tail that completes no member, and
+overpartition is a member.  One memo, an unbounded ``lru_cache`` shared
+by every family and weight, records for each family and each run state
+met, with the weight left and the largest value allowed, the value of
+the first run of the first member that the family's walk from that
+state yields, or 0 when it yields none; the walk stops at that first
+member.  So the walk skips a tail that completes no member, and
 after each run value it goes straight to the next value that starts a
 member.  At a leaf each head variant is tested with the signature the
 walk carried down.  ``overpartitions`` is the walk of the PBAR family,
@@ -71,7 +72,7 @@ which must reproduce T2 and T3.
 from __future__ import annotations
 
 import threading
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -94,12 +95,6 @@ __all__ = [
 _ABOVE: list[list[Counter]] = []
 _FILLING = threading.Lock()  # held while rows are added to _ABOVE
 
-# per family, the packed state (remaining, cap, odd, even, parity) of a
-# subtree -> the value of the first run of the first member that the
-# family's walk of it yields, 0 if it yields none; filled by the walks
-# that ask, and shared by every weight
-_REACH: defaultdict[FamilySpec, dict[int, int]] = defaultdict(dict)
-
 _PBAR = FamilySpec(PBAR)
 
 
@@ -110,10 +105,9 @@ def _runs(remaining: int, cap: int, fam: FamilySpec = _PBAR, odd=0, even=0, pari
     # the whole overpartition.  The two variants of a head share each
     # tail's signature, and differ only as the last run, with no tail.  A
     # tail no member completes is skipped, and so is every value below v
-    # down to the next one that starts a member
+    # down to the next one that starts a member, both read from _first_value
     if not remaining and member(signature(()), fam):  # n = 0: the empty overpartition
         yield (), signature(())
-    reach = _REACH[fam]
     v = min(remaining, cap)
     while v:
         o, e = min(odd + (v & 1), 2), min(even + 1 - (v & 1), 2)
@@ -125,25 +119,23 @@ def _runs(remaining: int, cap: int, fam: FamilySpec = _PBAR, odd=0, even=0, pari
                     sig = _signature_of(o, e, p, (v & 1, v == 1, head[1], head[2]))
                     if member(sig, fam):
                         yield (head,), sig
-            elif _first_value(reach, fam, rest, v - 1, o, e, p):
+            elif _first_value(fam.id, fam.k, rest, min(v - 1, rest), o, e, p):
                 for tail, sig in _runs(rest, v - 1, fam, o, e, p):
                     yield (head_plain,) + tail, sig
                     yield (head_over,) + tail, sig
-        v = _first_value(reach, fam, remaining, v - 1, odd, even, parity)
+        v = _first_value(fam.id, fam.k, remaining, v - 1, odd, even, parity)
 
 
-def _first_value(reach: dict[int, int], fam: FamilySpec, remaining: int, cap: int,
+# keyed by the spec's fields, as core._member is: a FamilySpec hashes in Python
+@lru_cache(maxsize=None)
+def _first_value(fid: str, k: int, remaining: int, cap: int,
                  odd: int, even: int, parity: int) -> int:
-    # the largest value of a first run in fam's walk of this state, read
-    # from or added to fam's memo: the walk stops at its first member.  A
-    # cap above remaining acts as remaining, and the pair packs into
-    # remaining*(remaining+1)/2 + cap, so a state is one int
-    cap = min(cap, remaining)
-    key = ((remaining * (remaining + 1) // 2 + cap) * 3 + odd) * 6 + even * 2 + parity
-    if key not in reach:
-        first = next(_runs(remaining, cap, fam, odd, even, parity), None)
-        reach[key] = first[0][0][0] if first else 0
-    return reach[key]
+    # the largest value of a first run in the walk of this state by family
+    # (fid, k), 0 when it yields none: the walk stops at its first member.
+    # Callers pass cap <= remaining, since a larger cap acts as remaining,
+    # so each state has one key
+    first = next(_runs(remaining, cap, FamilySpec(fid, k), odd, even, parity), None)
+    return first[0][0][0] if first else 0
 
 
 def _weight(n: int) -> int:

@@ -514,12 +514,13 @@ class TestAuditMemory:
     # cold caches, then T1/T2/T4e/T4o and T3 audited at every n <= 20:
     # the traced peak was 11.5 MiB with namedtuple entries and (pi, sig)
     # pairs in a cache of every overpartition of each n <= 25, 4.7 MiB with
-    # int-triple entries in it, and 3.0 MiB with each family listed by its
-    # own pruned walk and the 32 most recently used listings kept
+    # int-triple entries in it, 3.0 MiB with each family listed by its own
+    # pruned walk and the 32 most recently used listings kept, and 2.4 MiB
+    # with the walk's memo an lru_cache keyed by tuples (2.1 with packed ints)
     PEAK_MIB = 4
 
     def test_audit_sweep_to_20_stays_under_bound(self):
-        enumeration._REACH.clear()
+        enumeration._first_value.cache_clear()
         enumeration.family_elements.cache_clear()
         enumeration._token_counts.cache_clear()
         tracemalloc.start()

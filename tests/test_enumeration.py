@@ -435,13 +435,14 @@ class TestFamilyWalk:
         assert len(family_elements(fam, 60)) == count_many(60, [(fam, False)])[0] == 17337
         assert all(pi.weight == 60 and is_member(pi, fam) for pi in family_elements(fam, 60))
 
-    def test_reach_memo_holds_ints(self):
-        # one packed int per run state, and the first value of the first
-        # member below it, 0 for a subtree that holds none
-        enumeration._REACH.clear()
+    def test_first_value_memo_holds_one_entry_per_state(self):
+        # one entry per run state, its cap at most the weight left: a cold
+        # spt1o(20) listing leaves 476, as the packed-int memo it replaced
+        # did; the value is the first value of the first member below the
+        # state, 0 for a subtree that holds none
+        enumeration._first_value.cache_clear()
         family_elements.cache_clear()
         family_elements(FamilySpec(SPTKO, 1), 20)
-        (reach,) = enumeration._REACH.values()
-        assert reach and all(type(key) is int for key in reach)
-        assert all(type(value) is int and 0 <= value <= 20 for value in reach.values())
-        assert any(reach.values()) and not all(reach.values())
+        assert enumeration._first_value.cache_info().currsize == 476
+        assert enumeration._first_value("SPTKO", 1, 20, 20, 0, 0, 0) == 20
+        assert enumeration._first_value("BOK", 1, 16, 16, 0, 0, 0) == 0
