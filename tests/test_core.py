@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overpart.core import (
-    BEK, BOK, CE, CO, FAMILY_IDS, INFINITY, PBAR, PE, PEX, POEX, SPTK, SPTKO,
-    CollisionError, FamilySpec, OverPartition, OverpartitionError,
-    ParseError, Signature, is_member, parse, parse_family_token, signature,
-    stats, why_not_member,
+    BEK, BOK, CE, CO, FAMILY_IDS, FAMILY_TABLE, INFINITY, PBAR, PE, PEX, POEX,
+    SPTK, SPTKO, CollisionError, FamilySpec, OverPartition, OverpartitionError,
+    ParseError, Signature, is_member, member, parse, parse_family_token,
+    signature, stats, why_not_member,
 )
 from overpart.enumeration import (
     count_profile, family_elements, overpartitions, profile_tokens,
@@ -312,6 +312,23 @@ class TestMembership:
             fam, signed = parse_family_token(tok)
             if not signed:
                 assert count_profile(n, 3)[tok] == len(family_elements(fam, n)), tok
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_member_and_explanation_follow_the_parent_chain(self, n):
+        # a family holds when every clause on its chain of parents, root
+        # first, holds; the explanation is the first failing clause's text
+        def chain(fid):
+            row = FAMILY_TABLE[fid]
+            return (chain(row.parent) if row.parent else ()) + (row,)
+
+        for pi in overpartitions(n):
+            sig = signature(pi)
+            for fid in FAMILY_IDS:
+                for k in (1, 2, 3):
+                    fam = FamilySpec(fid, k)
+                    failing = next((row for row in chain(fid) if not row.holds(sig, k)), None)
+                    assert member(sig, fam) is (failing is None), (str(pi), fam)
+                    assert why_not_member(pi, fam) == (failing and failing.why(pi, k)), (str(pi), fam)
 
     @settings(max_examples=80, deadline=None)
     @given(overpartition_strategy(), st.sampled_from(

@@ -204,6 +204,18 @@ class TestRunStateMemo:
             fam, signed = parse_family_token(tok)
             assert value == family_series(fam, 100, -1 if signed else 1).coefficient(100), tok
 
+    def test_profile_to_150_equals_the_series(self):
+        # the same two oracles at every weight up to 150, far past the
+        # command-line cap: one series per column at order 150
+        tokens = profile_tokens(2)
+        series = {}
+        for tok in tokens:
+            fam, signed = parse_family_token(tok)
+            series[tok] = family_series(fam, 150, -1 if signed else 1).coeffs
+        for n in range(151):
+            prof = count_profile(n, 2)
+            assert prof == {tok: series[tok][n] for tok in tokens}, n
+
     def test_memo_fills_without_recursion(self, monkeypatch):
         # cold, from a stack with 40 frames left under the default limit:
         # a recursive fill to n = 120 would need about 120
