@@ -118,15 +118,11 @@ def cmd_table(args) -> tuple[str, int]:
 def cmd_verify(args) -> tuple[str, int]:
     names = list(IDENTITIES) if args.identity == "ALL" else [args.identity]
     _check_min(args, "n_max", min(IDENTITY_START[name] for name in names))
-    lines = []
-    all_pass = True
-    for name in names:
-        for n in range(IDENTITY_START[name], _check_weight(args.n_max) + 1):
-            lhs, rhs = identity_sides(name, n)
-            all_pass = all_pass and lhs == rhs
-            lines.append(f"{name} n={n}: {lhs} = {rhs} PASS" if lhs == rhs
-                         else f"{name} n={n}: {lhs} != {rhs} FAIL")
-    return "\n".join(lines), EXIT_OK if all_pass else EXIT_VERIFY_FAILED
+    rows = [(name, n, *identity_sides(name, n)) for name in names
+            for n in range(IDENTITY_START[name], _check_weight(args.n_max) + 1)]
+    lines = [f"{name} n={n}: {lhs} = {rhs} PASS" if lhs == rhs
+             else f"{name} n={n}: {lhs} != {rhs} FAIL" for name, n, lhs, rhs in rows]
+    return "\n".join(lines), EXIT_OK if all(a == b for *_, a, b in rows) else EXIT_VERIFY_FAILED
 
 
 def cmd_map(args) -> tuple[str, int]:
@@ -178,13 +174,9 @@ def cmd_check_bijection(args) -> tuple[str, int]:
     else:
         _check_min(args, "n_max", IDENTITY_START[theorem])
         ns = range(IDENTITY_START[theorem], _check_weight(args.n_max, cap, "") + 1)
-    lines = []
-    all_ok = True
-    for n in ns:
-        more, ok = _audit_lines(theorem, n, args.golden)
-        lines += more
-        all_ok = all_ok and ok
-    return "\n".join(lines), EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    audits = [_audit_lines(theorem, n, args.golden) for n in ns]
+    return ("\n".join(line for lines, _ in audits for line in lines),
+            EXIT_OK if all(ok for _, ok in audits) else EXIT_VERIFY_FAILED)
 
 
 def cmd_series(args) -> tuple[str, int]:
@@ -203,12 +195,9 @@ def cmd_selftest(args) -> tuple[str, int]:
     if order < args.n_max:
         raise ValueError("order must be at least n-max")
     mismatches = cross_check(args.n_max, args.k_max, order)
-    lines = []
-    for tok, n, enum_count, coeff in mismatches:
-        lines.append(f"MISMATCH {tok} n={n}: enumeration {enum_count}, "
-                     f"series {coeff}")
-    verdict = "PASS" if not mismatches else "FAIL"
-    lines.append(f"selftest {verdict}: families x n <= {args.n_max}, "
+    lines = [f"MISMATCH {tok} n={n}: enumeration {enum_count}, series {coeff}"
+             for tok, n, enum_count, coeff in mismatches]
+    lines.append(f"selftest {'FAIL' if mismatches else 'PASS'}: families x n <= {args.n_max}, "
                  f"k <= {args.k_max}, order {order}")
     return "\n".join(lines), EXIT_OK if not mismatches else EXIT_VERIFY_FAILED
 

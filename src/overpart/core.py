@@ -425,24 +425,23 @@ FAMILY_TABLE = {
 SIGNED_REFINEMENTS = {SPTKO: (BEK, BOK), POEX: (CE, CO)}
 
 
-def _lineage(fid: str) -> tuple[Family, ...]:
-    row = FAMILY_TABLE[fid]
-    return (_lineage(row.parent) if row.parent else ()) + (row,)
-
-
-_LINEAGE = {fid: _lineage(fid) for fid in FAMILY_IDS}
+@lru_cache(maxsize=None)
+def _held(sig: Signature, k: int) -> frozenset:
+    # the ids of the families that hold sig at multiplicity k, in one pass
+    # over the table: a row's parent comes before it, and a row holds when
+    # its parent holds (None, the root's parent, is put in first) and its
+    # own clause holds
+    held = {None}
+    for fid, row in FAMILY_TABLE.items():
+        if row.parent in held and row.holds(sig, k):
+            held.add(fid)
+    return frozenset(held)
 
 
 def member(sig: Signature, fam: FamilySpec) -> bool:
     """Whether a signature meets every clause of the family; the table
-    is evaluated once per distinct signature and family."""
-    return _member(sig, fam.id, fam.k)
-
-
-# keyed by the spec's fields: a FamilySpec hashes and compares in Python
-@lru_cache(maxsize=None)
-def _member(sig: Signature, fid: str, k: int) -> bool:
-    return all(row.holds(sig, k) for row in _LINEAGE[fid])
+    is evaluated once per distinct signature and multiplicity."""
+    return fam.id in _held(sig, fam.k)
 
 
 def is_member(pi: OverPartition, fam: FamilySpec) -> bool:
@@ -451,8 +450,9 @@ def is_member(pi: OverPartition, fam: FamilySpec) -> bool:
 
 def why_not_member(pi: OverPartition, fam: FamilySpec) -> str | None:
     """Explain the first violated membership clause, or None if member."""
-    sig = signature(pi)
-    if member(sig, fam):
-        return None
-    row = next(row for row in _LINEAGE[fam.id] if not row.holds(sig, fam.k))
-    return row.why(pi, fam.k)
+    held, fid = _held(signature(pi), fam.k), fam.id
+    # up from a family that fails to the first row whose parent holds: its
+    # own clause is the first that fails
+    while fid not in held and FAMILY_TABLE[fid].parent not in held:
+        fid = FAMILY_TABLE[fid].parent
+    return None if fid in held else FAMILY_TABLE[fid].why(pi, fam.k)

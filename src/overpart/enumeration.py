@@ -72,13 +72,13 @@ which must reproduce T2 and T3.
 from __future__ import annotations
 
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .core import (
-    FAMILY_IDS, PBAR, SIGNED_REFINEMENTS, FamilySpec, OverPartition, Signature,
-    _canonical, _signature_of, member, signature,
+    FAMILY_IDS, FAMILY_TABLE, PBAR, SIGNED_REFINEMENTS, FamilySpec, OverPartition, Signature,
+    _canonical, _held, _signature_of, member, signature,
 )
 
 __all__ = [
@@ -89,44 +89,51 @@ __all__ = [
 
 # the run state of a set of runs: its numbers of odd and of even values,
 # each capped at 2, and the parity of its part count, which is all that
-# _signature_of reads of the runs above the last; _ABOVE[m][s] counts by
-# state the overpartitions of m whose parts all exceed s (s <= m), one
-# row per m, shared by every weight
-_ABOVE: list[list[Counter]] = []
+# _signature_of reads of the runs above the last; a state vector holds 18
+# counts, one per state, at index 6*odd + 2*even + parity
+_STATES = [(odd, even, parity) for odd in range(3) for even in range(3) for parity in range(2)]
+# _STEP[v & 1][t & 1][i]: the state of runs in state i once t parts of
+# value v go below them
+_STEP = [[[6 * min(odd + vo, 2) + 2 * min(even + 1 - vo, 2) + (parity ^ to)
+           for odd, even, parity in _STATES] for to in (0, 1)] for vo in (0, 1)]
+_NONE = [0] * 18
+# _ABOVE[m][s] for s >= 1 sums the state vectors of the overpartitions of
+# m, m - 2s, m - 4s, ... whose parts all exceed s; at s = 0 it is the
+# vector of m alone.  One row per m, with s = 0 .. m, shared by every weight
+_ABOVE: list[list[list[int]]] = []
 _FILLING = threading.Lock()  # held while rows are added to _ABOVE
 
 _PBAR = FamilySpec(PBAR)
 
 
-def _runs(remaining: int, cap: int, fam: FamilySpec = _PBAR, odd=0, even=0, parity=0):
-    # each way to follow earlier runs with these run-state totals by runs
-    # of weight remaining and values up to cap, in the order of the module
-    # docstring, that makes a member of fam: its runs, and the signature of
-    # the whole overpartition.  The two variants of a head share each
-    # tail's signature, and differ only as the last run, with no tail.  A
-    # tail no member completes is skipped, and so is every value below v
-    # down to the next one that starts a member, both read from _first_value
+def _runs(remaining: int, cap: int, fam: FamilySpec = _PBAR, state: int = 0):
+    # each way to follow earlier runs in this run state by runs of weight
+    # remaining and values up to cap, in the order of the module docstring,
+    # that makes a member of fam: its runs, and the signature of the whole
+    # overpartition.  The two variants of a head share each tail's
+    # signature, and differ only as the last run, with no tail.  A tail no
+    # member completes is skipped, and so is every value below v down to
+    # the next one that starts a member, both read from _first_value
     if not remaining and member(signature(()), fam):  # n = 0: the empty overpartition
         yield (), signature(())
     v = min(remaining, cap)
     while v:
-        o, e = min(odd + (v & 1), 2), min(even + 1 - (v & 1), 2)
         for total in range(remaining // v, 0, -1):
-            rest, p = remaining - v * total, parity ^ (total & 1)
+            rest, below = remaining - v * total, _STEP[v & 1][total & 1][state]
             head_plain, head_over = (v, total, 0), (v, total - 1, 1)
             if not rest:
-                for head in head_plain, head_over:
-                    sig = _signature_of(o, e, p, (v & 1, v == 1, head[1], head[2]))
-                    if member(sig, fam):
+                for over, head in enumerate((head_plain, head_over)):
+                    if member(sig := _signatures(v & 1, v == 1, total, over)[state], fam):
                         yield (head,), sig
-            elif _first_value(fam.id, fam.k, rest, min(v - 1, rest), o, e, p):
-                for tail, sig in _runs(rest, v - 1, fam, o, e, p):
+            elif _first_value(fam.id, fam.k, rest, min(v - 1, rest), *_STATES[below]):
+                for tail, sig in _runs(rest, v - 1, fam, below):
                     yield (head_plain,) + tail, sig
                     yield (head_over,) + tail, sig
-        v = _first_value(fam.id, fam.k, remaining, v - 1, odd, even, parity)
+        v = _first_value(fam.id, fam.k, remaining, v - 1, *_STATES[state])
 
 
-# keyed by the spec's fields, as core._member is: a FamilySpec hashes in Python
+# keyed by the spec's fields, as core._held is keyed by the signature and
+# k: a FamilySpec hashes in Python
 @lru_cache(maxsize=None)
 def _first_value(fid: str, k: int, remaining: int, cap: int,
                  odd: int, even: int, parity: int) -> int:
@@ -134,7 +141,7 @@ def _first_value(fid: str, k: int, remaining: int, cap: int,
     # (fid, k), 0 when it yields none: the walk stops at its first member.
     # Callers pass cap <= remaining, since a larger cap acts as remaining,
     # so each state has one key
-    first = next(_runs(remaining, cap, FamilySpec(fid, k), odd, even, parity), None)
+    first = next(_runs(remaining, cap, FamilySpec(fid, k), 6 * odd + 2 * even + parity), None)
     return first[0][0][0] if first else 0
 
 
@@ -160,45 +167,68 @@ def family_elements(fam: FamilySpec, n: int) -> tuple[OverPartition, ...]:
     return tuple(_canonical(runs) for runs, _ in _runs(_weight(n), n, fam))
 
 
-def _above(m: int, s: int) -> Counter:
-    # _ABOVE[m][s], after filling every row up to m.  Rows go by m
-    # ascending and each row by s descending, so every entry reads filled
-    # ones only: at s = m there is only the empty overpartition of 0, and
-    # the entry for s = v - 1 is the one for s = v plus the overpartitions
-    # whose smallest run has value v, each with a plain or an overlined head.
+def _sums(m: int, s: int) -> list[int]:
+    # _ABOVE[m][s], also below weight 0 (none) and for s > m (as at s = m)
+    return _ABOVE[m][min(s, m)] if m >= 0 else _NONE
+
+
+def _fill(n: int):
+    # fill _ABOVE up to row n.  A row goes by s descending from m, where
+    # only the empty overpartition of 0 counts: the counts above s = v - 1
+    # are those above v plus the overpartitions whose smallest run is t
+    # parts of value v, plain or overlined, stepped by _STEP from the
+    # counts above v at m - v*t.  Runs of t and t + 2 parts step alike, so
+    # all odd t read one entry (at m - v) and all even t another (at m - 2v).
     # One thread fills at a time, since a row's index is len(_ABOVE) while
-    # it is built; the filling thread reads filled rows only, so its own
-    # calls here do not take the lock again
-    if len(_ABOVE) <= m:
-        with _FILLING:
-            while len(_ABOVE) <= m:
-                row = [Counter({(0, 0, 0): 1} if not _ABOVE else ())]
-                for v in range(len(_ABOVE), 0, -1):
-                    row.append(Counter(row[-1]))
-                    for _, _, state, count in _smallest_runs(len(_ABOVE), (v,)):
-                        row[-1][state] += 2 * count
-                _ABOVE.append(row[::-1])
-    return _ABOVE[m][min(s, m)]
-
-
-def _smallest_runs(m: int, values: Iterable[int]):
-    # (v, t, state, count): the overpartitions of m whose smallest run is t
-    # parts of value v, for each v in values, with one head variant,
-    # counted by the state of all their runs
-    for v in values:
-        for t in range(1, m // v + 1):
-            for (odd, even, parity), count in _above(m - v * t, v).items():
-                yield v, t, (min(odd + v % 2, 2), min(even + 1 - v % 2, 2), parity ^ t % 2), count
+    # it is built, and each checks under the lock which rows are missing;
+    # the filling thread reads filled rows only
+    with _FILLING:
+        while len(_ABOVE) <= n:
+            m, count = len(_ABOVE), _NONE
+            row = [_NONE] * m + [count if m else [1] + _NONE[1:]]
+            for v in range(m, 0, -1):
+                count = list(count)
+                for t in 1, 2:
+                    if (sums := _sums(m - t * v, v)) is not _NONE:
+                        for x, j in zip(sums, _STEP[v & 1][t & 1]):
+                            count[j] += 2 * x
+                s = v - 1
+                row[s] = [x + y for x, y in zip(count, _sums(m - 2 * s, s))] if s else count
+            _ABOVE.append(row)
 
 
 def _signature_counts(n: int) -> Counter:
     # how many overpartitions of n have each signature, from the run
-    # states alone: no overpartition is built or walked
+    # states alone: no overpartition is built or walked.  A signature reads
+    # the smallest value v only through its class (v & 1, v == 1), so the
+    # entries at n - v*t are summed over each class, for each t; as in the
+    # memo, the runs of t parts are those sums at t less those at t + 2.
+    # With an overlined head a signature reads t only through t & 1, which
+    # the step puts in the state, and t > 1, so the runs of every t >= 2 of
+    # one parity, which telescope to the sums at t = 2 or 3, count at once
     sigs = Counter({signature(()): 1} if _weight(n) == 0 else ())
-    for v, t, (odd, even, parity), count in _smallest_runs(n, range(1, n + 1)):
-        sigs[_signature_of(odd, even, parity, (v & 1, v == 1, t, 0))] += count
-        sigs[_signature_of(odd, even, parity, (v & 1, v == 1, t - 1, 1))] += count
+    _fill(n - 1)
+    sums = [defaultdict(lambda: _NONE) for _ in range(n + 3)]
+    for v in range(1, n + 1):
+        for t in range(1, n // v + 1):
+            if (above := _sums(n - v * t, v)) is not _NONE:
+                sums[t][v & 1, v == 1] = [a + x for a, x in zip(sums[t][v & 1, v == 1], above)]
+    for t in range(n, 0, -1):
+        for cls, total in sums[t].items():
+            runs = [x - y for x, y in zip(total, sums[t + 2][cls])]
+            for over in (0, 1) if t < 4 else (0,):
+                for sig, x in zip(_signatures(*cls, t, over), total if over and t > 1 else runs):
+                    if x:
+                        sigs[sig] += x
     return sigs
+
+
+@lru_cache(maxsize=None)
+def _signatures(odd: int, one: bool, t: int, over: int) -> tuple[Signature, ...]:
+    # for each state of the runs above, the signature once a smallest run
+    # of t parts goes below them, its value v of class (v & 1, v == 1) =
+    # (odd, one), with an overlined head when over is 1
+    return tuple(_signature_of(*_STATES[j], (odd, one, t - over, over)) for j in _STEP[odd][t & 1])
 
 
 @lru_cache(maxsize=None)
@@ -208,10 +238,10 @@ def _tokens_of(sig: Signature) -> tuple[tuple[str, int], ...]:
     # -prime column of a signed family whose even or odd refinement it
     # belongs to; a parametric family can only hold at k = sig.k
     k = max(sig.k, 1)
-    held = [fid for fid in FAMILY_IDS if member(sig, FamilySpec(fid, k))]
-    return tuple([(FamilySpec(fid, k).token, 1) for fid in held] + [
-        (FamilySpec(fid, k).token + "-prime", sign) for fid, halves in SIGNED_REFINEMENTS.items()
-        for half, sign in zip(halves, (1, -1)) if half in held])
+    token = {fid: FAMILY_TABLE[fid].token.format(k=k) for fid in FAMILY_IDS if fid in _held(sig, k)}
+    return tuple([(tok, 1) for tok in token.values()] + [(token[fid] + "-prime", sign)
+                  for fid, halves in SIGNED_REFINEMENTS.items()
+                  for half, sign in zip(halves, (1, -1)) if half in token])
 
 
 @lru_cache(maxsize=None)
@@ -220,7 +250,8 @@ def _token_counts(n: int) -> Counter:
     # columns it counts in (each column at most once per signature)
     counts = Counter()
     for sig, mult in _signature_counts(n).items():
-        counts.update({token: sign * mult for token, sign in _tokens_of(sig)})
+        for token, sign in _tokens_of(sig):
+            counts[token] += sign * mult
     return counts
 
 

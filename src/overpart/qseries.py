@@ -190,10 +190,6 @@ def cross_check(n_max: int, k_max: int = 1, order: int | None = None):
     # k > n_max reads 0 by enumeration and by series at each compared n
     k_max = min(k_max, max(n_max, 1))
     series = {tok: series_for_token(tok, order, 1) for tok in profile_tokens(k_max)}
-    mismatches = []
-    for n in range(n_max + 1):
-        prof = count_profile(n, k_max)
-        for tok, ser in series.items():
-            if ser.coeffs[n] != prof[tok]:
-                mismatches.append((tok, n, prof[tok], ser.coeffs[n]))
-    return mismatches
+    return [(tok, n, prof[tok], ser.coeffs[n]) for n in range(n_max + 1)
+            for prof in [count_profile(n, k_max)] for tok, ser in series.items()
+            if ser.coeffs[n] != prof[tok]]

@@ -204,6 +204,34 @@ class TestRunStateMemo:
             fam, signed = parse_family_token(tok)
             assert value == family_series(fam, 100, -1 if signed else 1).coefficient(100), tok
 
+    def test_state_vectors_equal_brute_force(self):
+        # the memo's entry at (m, s) sums the state vectors at m, m - 2s,
+        # m - 4s, ... (at s = 0 only m), so the vector at m alone is the
+        # entry less the one at m - 2s, read at s' = min(s, m - 2s) as a
+        # row holds s' <= its weight; each equals a count over the
+        # overpartitions of m whose parts all exceed s, by the state of
+        # their runs at index 6*odd + 2*even + parity
+        enumeration._fill(16)
+        listed = {m: list(overpartitions(m)) for m in range(17)}
+
+        def brute(m, s):
+            vector = [0] * 18
+            for pi in listed[m]:
+                if not pi or pi[-1][0] > s:
+                    odd = sum(v & 1 for v, _, _ in pi)
+                    vector[6 * min(odd, 2) + 2 * min(len(pi) - odd, 2) + pi.num_parts % 2] += 1
+            return vector
+
+        for m in range(17):
+            for s in range(m + 1):
+                entry, below = enumeration._ABOVE[m][s], m - 2 * s
+                if s and below >= 0:
+                    entry = [a - b for a, b in zip(entry, enumeration._ABOVE[below][min(s, below)])]
+                assert entry == brute(m, s), (m, s)
+                # a value above the weight reads as the weight itself
+                assert enumeration._sums(m, m + 1 + s) == brute(m, m + 1 + s), (m, s)
+        assert enumeration._sums(-1, 3) == [0] * 18
+
     def test_profile_to_150_equals_the_series(self):
         # the same two oracles at every weight up to 150, far past the
         # command-line cap: one series per column at order 150
