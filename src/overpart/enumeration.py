@@ -3,12 +3,14 @@ overpartitions, plus the identity checks built on those counts.
 
 Membership comes only from the family table in :mod:`overpart.core`:
 each overpartition is reduced to its :class:`~overpart.core.Signature`,
-and the table is evaluated once per distinct signature.  Listing walks
-the runs in enumeration order (Knuth, TAOCP 4A, 7.2.1.4, generating all
-partitions) and carries each overpartition's run state down to it: the
-number of odd values and the number of even values, each capped at 2,
-and the parity of the part count, which is all a signature reads of the
-runs above the last one.
+and the table is read in one pass per distinct signature and
+multiplicity.  Listing walks the runs in enumeration order (Knuth,
+TAOCP 4A, 7.2.1.4, generating all partitions) and carries each
+overpartition's run state down to it: the number of odd values and the
+number of even values, each capped at 2, and the parity of the part
+count, which is all a signature reads of the runs above the last one.
+The 18 run states are stepped by one table, for a run's value parity
+and part-count parity, in listing and in counting alike.
 
 A family is listed by one walk that skips every subtree in which no
 overpartition is a member.  One memo, an unbounded ``lru_cache`` shared
@@ -25,17 +27,23 @@ family listings are kept.
 
 Counting lists nothing (Andrews, "The number of smallest parts in the
 partitions of n", 2008; Corteel and Lovejoy, "Overpartitions", 2004).
-A memo counts, by run state, the overpartitions of m whose parts all
-exceed s, for every m and s up to the largest weight asked for; it is
-filled without recursion, by one thread at a time under a lock, and
-shared by every weight and thread.  Each
-overpartition of n is its smallest run (t parts of value v, the first
-plain or overlined) above an overpartition of n - v*t with parts above
-v, so the memo gives how many overpartitions of n have each signature.
-Each distinct signature then adds its multiplicity to the columns it
-counts in, with sign -1 in a -prime column for the odd refinement, so a
-signed count is the even refinement's count minus the odd one's.  All
-counts are exact Python integers (arbitrary precision).
+Each overpartition of m is its smallest run (t parts of value v, the
+first plain or overlined) above an overpartition of m - v*t with parts
+above v.  A memo holds, for every m and s up to the largest weight
+asked for, a vector of 18 counts, one per run state, of the
+overpartitions whose parts all exceed s, summed over the weights m,
+m - 2s, m - 4s, ...: smallest runs of t and of t + 2 parts of one value
+step the run state alike, so each entry is filled from two earlier
+ones, and the memo takes O(n^2) vector steps.  It is filled without
+recursion, by one thread at a time under a lock, and shared by every
+weight and thread.  A signature reads the smallest value only through
+its parity and whether it is 1, so for each t the memo's entries are
+summed over each such class of values before the run state is stepped,
+which gives how many overpartitions of n have each signature.  Each
+distinct signature then adds its multiplicity to the columns it counts
+in, with sign -1 in a -prime column for the odd refinement, so a signed
+count is the even refinement's count minus the odd one's.  All counts
+are exact Python integers (arbitrary precision).
 
 Enumeration order
 -----------------
@@ -74,6 +82,7 @@ from __future__ import annotations
 import threading
 from collections import Counter, defaultdict
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterable, Iterator
 
 from .core import (
@@ -97,9 +106,11 @@ _STATES = [(odd, even, parity) for odd in range(3) for even in range(3) for pari
 _STEP = [[[6 * min(odd + vo, 2) + 2 * min(even + 1 - vo, 2) + (parity ^ to)
            for odd, even, parity in _STATES] for to in (0, 1)] for vo in (0, 1)]
 _NONE = [0] * 18
-# _ABOVE[m][s] for s >= 1 sums the state vectors of the overpartitions of
-# m, m - 2s, m - 4s, ... whose parts all exceed s; at s = 0 it is the
-# vector of m alone.  One row per m, with s = 0 .. m, shared by every weight
+# _ABOVE[m][s], for s >= 1, is the state vector of the overpartitions of
+# m, m - 2s, m - 4s, ... whose parts all exceed s, so the vector of m
+# alone is the entry less the one at m - 2s; at s = 0 it is the vector of
+# m alone.  One row per m, with s = 0 .. m, shared by every weight; every
+# memo state lives here, and the entry at s = m > 0 is _NONE itself
 _ABOVE: list[list[list[int]]] = []
 _FILLING = threading.Lock()  # held while rows are added to _ABOVE
 
@@ -132,11 +143,10 @@ def _runs(remaining: int, cap: int, fam: FamilySpec = _PBAR, state: int = 0):
         v = _first_value(fam.id, fam.k, remaining, v - 1, *_STATES[state])
 
 
-# keyed by the spec's fields, as core._held is keyed by the signature and
-# k: a FamilySpec hashes in Python
+# keyed by the spec's fields, not by the FamilySpec, which hashes in
+# Python, and by the run state's three parts
 @lru_cache(maxsize=None)
-def _first_value(fid: str, k: int, remaining: int, cap: int,
-                 odd: int, even: int, parity: int) -> int:
+def _first_value(fid: str, k: int, remaining: int, cap: int, odd, even, parity) -> int:
     # the largest value of a first run in the walk of this state by family
     # (fid, k), 0 when it yields none: the walk stops at its first member.
     # Callers pass cap <= remaining, since a larger cap acts as remaining,
@@ -173,12 +183,14 @@ def _sums(m: int, s: int) -> list[int]:
 
 
 def _fill(n: int):
-    # fill _ABOVE up to row n.  A row goes by s descending from m, where
-    # only the empty overpartition of 0 counts: the counts above s = v - 1
-    # are those above v plus the overpartitions whose smallest run is t
-    # parts of value v, plain or overlined, stepped by _STEP from the
-    # counts above v at m - v*t.  Runs of t and t + 2 parts step alike, so
-    # all odd t read one entry (at m - v) and all even t another (at m - 2v).
+    # fill _ABOVE up to row n.  A row goes by s descending from s = m,
+    # where only the empty overpartition of 0 counts, carrying the vector
+    # of m alone: the one above s = v - 1 is the one above v plus the
+    # overpartitions whose smallest run is t parts of value v, plain or
+    # overlined, stepped by _STEP from the vector above v at m - v*t.
+    # Runs of t and t + 2 parts step alike, so all odd t read one entry
+    # (at m - v) and all even t another (at m - 2v).  An entry that is
+    # _NONE itself adds nothing and is skipped.
     # One thread fills at a time, since a row's index is len(_ABOVE) while
     # it is built, and each checks under the lock which rows are missing;
     # the filling thread reads filled rows only
@@ -192,8 +204,7 @@ def _fill(n: int):
                     if (sums := _sums(m - t * v, v)) is not _NONE:
                         for x, j in zip(sums, _STEP[v & 1][t & 1]):
                             count[j] += 2 * x
-                s = v - 1
-                row[s] = [x + y for x, y in zip(count, _sums(m - 2 * s, s))] if s else count
+                row[v - 1] = list(map(add, count, _sums(m + 2 - 2 * v, v - 1))) if v > 1 else count
             _ABOVE.append(row)
 
 
@@ -212,10 +223,10 @@ def _signature_counts(n: int) -> Counter:
     for v in range(1, n + 1):
         for t in range(1, n // v + 1):
             if (above := _sums(n - v * t, v)) is not _NONE:
-                sums[t][v & 1, v == 1] = [a + x for a, x in zip(sums[t][v & 1, v == 1], above)]
+                sums[t][v & 1, v == 1] = list(map(add, sums[t][v & 1, v == 1], above))
     for t in range(n, 0, -1):
         for cls, total in sums[t].items():
-            runs = [x - y for x, y in zip(total, sums[t + 2][cls])]
+            runs = list(map(sub, total, sums[t + 2][cls]))
             for over in (0, 1) if t < 4 else (0,):
                 for sig, x in zip(_signatures(*cls, t, over), total if over and t > 1 else runs):
                     if x:
@@ -238,7 +249,8 @@ def _tokens_of(sig: Signature) -> tuple[tuple[str, int], ...]:
     # -prime column of a signed family whose even or odd refinement it
     # belongs to; a parametric family can only hold at k = sig.k
     k = max(sig.k, 1)
-    token = {fid: FAMILY_TABLE[fid].token.format(k=k) for fid in FAMILY_IDS if fid in _held(sig, k)}
+    held = _held(sig, k)
+    token = {fid: FAMILY_TABLE[fid].token.format(k=k) for fid in FAMILY_IDS if fid in held}
     return tuple([(tok, 1) for tok in token.values()] + [(token[fid] + "-prime", sign)
                   for fid, halves in SIGNED_REFINEMENTS.items()
                   for half, sign in zip(halves, (1, -1)) if half in token])
