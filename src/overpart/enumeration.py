@@ -143,8 +143,8 @@ def _runs(remaining: int, cap: int, fam: FamilySpec = _PBAR, state: int = 0):
         v = _first_value(fam.id, fam.k, remaining, v - 1, *_STATES[state])
 
 
-# keyed by the spec's fields, not by the FamilySpec, which hashes in
-# Python, and by the run state's three parts
+# keyed by the spec's fields, since a FamilySpec hashes in Python, and by
+# the three parts of the run state
 @lru_cache(maxsize=None)
 def _first_value(fid: str, k: int, remaining: int, cap: int, odd, even, parity) -> int:
     # the largest value of a first run in the walk of this state by family
