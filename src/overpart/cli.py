@@ -26,21 +26,23 @@ from .qseries import K_COLUMNS, cross_check, series_for_token
 DEFAULT_ORDER = 200
 # a series costs O(order^2) additions in one backward pass per (order,
 # z, parity) and keeps O(order) integers per column; at this order the
-# heaviest token (be1, two signed passes) takes about 2.8 s and 19 MiB,
-# and selftest --n-max 30 --k-max 4 (three passes) about 4.2 s and
-# 23 MiB (fresh process, one core, Python 3.11)
+# heaviest token (be1, two signed passes) takes about 2.4 s and 19 MiB,
+# and selftest --n-max 30 --k-max 4 (three passes) about 3.7 s and
+# 22 MiB (fresh process, one core of a 2-vCPU x86-64 VM, Python 3.11)
 MAX_ORDER = 4000
-# count, table, verify and selftest count from a memo of run states and
-# list no overpartition; at this cap, where pbar(42) = 1,967,696, verify
-# ALL --n-max 42 takes about 0.1 s in a fresh process (one core, Python
-# 3.11)
+# count, table, verify and selftest count from a memo of run-state
+# vectors and list no overpartition; at this cap, where pbar(42) =
+# 1,967,696, verify ALL --n-max 42 and selftest --n-max 42 --k-max 4 each
+# take about 0.1 s in a fresh process (one core of a 2-vCPU x86-64 VM,
+# Python 3.11)
 MAX_N = 42
 # check-bijection maps and audits every domain element of each weight it
 # checks (codomain sizes are counted, not listed), so each theorem has its
 # own cap, sized by its domain family: T1 lists the dense spt1, and
-# check-bijection T1 --n-max 30 takes about 2.8 s and 36 MiB; the other
+# check-bijection T1 --n-max 30 takes about 2.3 s and 36 MiB; the other
 # maps act on the sparse spt1o, be1 and bo1, and T2 --n-max 40 takes
-# about 1.1 s and 25 MiB (fresh process, one core, Python 3.11)
+# about 0.9 s and 25 MiB (fresh process, one core of a 2-vCPU x86-64 VM,
+# Python 3.11)
 MAX_AUDIT_N = {"T1": 30, "T2": 40, "T3": 40, "T4e": 40, "T4o": 40}
 
 EXIT_OK = 0

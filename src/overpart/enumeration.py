@@ -80,7 +80,7 @@ which must reproduce T2 and T3.
 from __future__ import annotations
 
 import threading
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import lru_cache
 from operator import add, sub
 from typing import Iterable, Iterator
@@ -219,18 +219,17 @@ def _signature_counts(n: int) -> Counter:
     # one parity, which telescope to the sums at t = 2 or 3, count at once
     sigs = Counter({signature(()): 1} if _weight(n) == 0 else ())
     _fill(n - 1)
-    sums = [defaultdict(lambda: _NONE) for _ in range(n + 3)]
+    sums = {}  # (t, v & 1, v == 1) -> the entries at n - v*t summed over that class of v
     for v in range(1, n + 1):
         for t in range(1, n // v + 1):
             if (above := _sums(n - v * t, v)) is not _NONE:
-                sums[t][v & 1, v == 1] = list(map(add, sums[t][v & 1, v == 1], above))
-    for t in range(n, 0, -1):
-        for cls, total in sums[t].items():
-            runs = list(map(sub, total, sums[t + 2][cls]))
-            for over in (0, 1) if t < 4 else (0,):
-                for sig, x in zip(_signatures(*cls, t, over), total if over and t > 1 else runs):
-                    if x:
-                        sigs[sig] += x
+                sums[t, v & 1, v == 1] = list(map(add, sums.get((t, v & 1, v == 1), _NONE), above))
+    for (t, odd, one), total in sums.items():
+        runs = list(map(sub, total, sums.get((t + 2, odd, one), _NONE)))
+        for over in (0, 1) if t < 4 else (0,):
+            for sig, x in zip(_signatures(odd, one, t, over), total if over and t > 1 else runs):
+                if x:
+                    sigs[sig] += x
     return sigs
 
 
