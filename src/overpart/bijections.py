@@ -169,7 +169,7 @@ class MapTrace:
     ambiguous_s2: bool = False
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "theorem": self.theorem,
             "sourceTag": self.source_tag,
             "branch": self.branch,
@@ -177,10 +177,8 @@ class MapTrace:
             "output": self.output.to_text(),
             "targetTag": self.target_tag,
             "signFlip": self.sign_flip,
+            **({"ambiguousS2": True} if self.ambiguous_s2 else {}),
         }
-        if self.ambiguous_s2:
-            d["ambiguousS2"] = True
-        return d
 
 
 @dataclass

@@ -24,11 +24,13 @@ from .bijections import (
 from .qseries import K_COLUMNS, cross_check, series_for_token
 
 DEFAULT_ORDER = 200
-# a series costs O(order^2) additions in one backward pass per (order,
-# z, parity) and keeps O(order) integers per column; at this order the
-# heaviest token (be1, two signed passes) takes about 2.4 s and 19 MiB,
-# and selftest --n-max 30 --k-max 4 (three passes) about 3.7 s and
-# 22 MiB (fresh process, one core of a 2-vCPU x86-64 VM, Python 3.11)
+# a series is read from products built by Gauss's theta identity in
+# O(order^1.5) additions and from spt columns k <= K_COLUMNS telescoped in
+# O(order) each; a column with a larger k is summed forward in
+# O(order^2/k).  At this order be1 (two signed passes) takes about 0.14 s
+# and 20 MiB, selftest --n-max 30 --k-max 4 (three passes) about 0.16 s
+# and 22 MiB, and the slowest columns, k = 5, about 0.4 s (sptk) and
+# 0.9 s (be) (fresh process, one core of a 2-vCPU x86-64 VM, Python 3.11)
 MAX_ORDER = 4000
 # count, table, verify and selftest count from a memo of run-state
 # vectors and list no overpartition; at this cap, where pbar(42) =
@@ -55,8 +57,7 @@ def _default_order() -> int:
     env = os.environ.get("OVERPART_ORDER")
     if env:
         try:
-            value = int(env)
-            if 1 <= value <= MAX_ORDER:
+            if 1 <= (value := int(env)) <= MAX_ORDER:
                 return value
         except ValueError:
             pass
@@ -65,9 +66,10 @@ def _default_order() -> int:
     return DEFAULT_ORDER
 
 
-def _check_cap(order: int):
+def _check_cap(order: int) -> int:
     if order > MAX_ORDER:
         raise ValueError(f"truncation order {order} is above the cap {MAX_ORDER}")
+    return order
 
 
 def _check_weight(n: int, cap: int = MAX_N, hint: str = "; use 'series' instead") -> int:
@@ -131,14 +133,13 @@ def cmd_map(args) -> tuple[str, int]:
     pi = parse(args.input)
     trace = apply_map(args.theorem, pi, args.n, args.source)
     if args.format == "json":
-        text = json.dumps(trace.to_json_dict())
-    else:
-        text = (f"theorem={trace.theorem} branch={trace.branch} "
-                f"source={trace.source_tag} input={trace.input} "
-                f"output={trace.output} target={trace.target_tag} "
-                f"signFlip={str(trace.sign_flip).lower()}")
-        if trace.ambiguous_s2:
-            text += " ambiguousS2=true"
+        return json.dumps(trace.to_json_dict()), EXIT_OK
+    text = (f"theorem={trace.theorem} branch={trace.branch} "
+            f"source={trace.source_tag} input={trace.input} "
+            f"output={trace.output} target={trace.target_tag} "
+            f"signFlip={str(trace.sign_flip).lower()}")
+    if trace.ambiguous_s2:
+        text += " ambiguousS2=true"
     return text, EXIT_OK
 
 
@@ -182,8 +183,7 @@ def cmd_check_bijection(args) -> tuple[str, int]:
 
 
 def cmd_series(args) -> tuple[str, int]:
-    order = args.order if args.order is not None else _default_order()
-    _check_cap(order)
+    order = _check_cap(args.order if args.order is not None else _default_order())
     ser = series_for_token(args.family, order, args.k)
     return "\n".join(f"{i}\t{c}" for i, c in enumerate(ser.coeffs)), EXIT_OK
 
@@ -192,8 +192,7 @@ def cmd_selftest(args) -> tuple[str, int]:
     _check_min(args, "n_max", 0)
     _check_min(args, "k_max", 1)
     _check_weight(args.n_max)
-    order = args.order if args.order is not None else max(args.n_max, 1)
-    _check_cap(order)
+    order = _check_cap(args.order if args.order is not None else max(args.n_max, 1))
     if order < args.n_max:
         raise ValueError("order must be at least n-max")
     mismatches = cross_check(args.n_max, args.k_max, order)

@@ -129,8 +129,7 @@ class OverPartition(tuple):
                 slot[1] = 1
             else:
                 slot[0] += 1
-        entries = [(v, p, o) for v, (p, o) in sorted(acc.items(), reverse=True)]
-        return cls(entries)
+        return cls([(v, p, o) for v, (p, o) in sorted(acc.items(), reverse=True)])
 
     def parts(self) -> Iterator[tuple[int, bool]]:
         """Expanded parts, largest first; the overlined copy of a value
@@ -138,14 +137,11 @@ class OverPartition(tuple):
         for v, p, o in self:
             if o:
                 yield v, True
-            for _ in range(p):
-                yield v, False
+            yield from ((v, False),) * p
 
     def to_text(self) -> str:
         """Canonical literal; inverse of :func:`parse`."""
-        if not self:
-            return "[]"
-        return ",".join(f"{v}o" if ov else str(v) for v, ov in self.parts())
+        return ",".join(f"{v}o" if ov else str(v) for v, ov in self.parts()) or "[]"
 
     @property
     def weight(self) -> int:
@@ -220,10 +216,8 @@ def parse(text: str) -> OverPartition:
     if not stripped:
         raise ParseError("empty literal (use '[]' for the empty overpartition)")
     pairs = []
-    for token in stripped.split(","):
-        token = token.strip()
-        m = _TOKEN.match(token)
-        if not m:
+    for token in map(str.strip, stripped.split(",")):
+        if not (m := _TOKEN.match(token)):
             raise ParseError(f"malformed token {token!r}")
         pairs.append((int(m.group(1)), m.group(2) == "o"))
     try:
@@ -295,11 +289,9 @@ def parse_family_token(token: str, default_k: int = 1) -> tuple[FamilySpec, bool
     """
     tok = token.strip().lower()
     signed = tok.endswith("-prime")
-    if signed:
-        tok = tok[: -len("-prime")]
-    for fid, row in FAMILY_TABLE.items():
-        m = re.fullmatch(row.token.replace("{k}", r"(\d*|k)"), tok)
-        if m:
+    tok = tok.removesuffix("-prime")
+    for fid, pattern in _TOKEN_PATTERNS.items():
+        if m := pattern.fullmatch(tok):
             k = m.group(1) if m.groups() else "1"  # families without k take k = 1
             fam = FamilySpec(fid, int(k) if k.isdigit() else default_k)
             break
@@ -423,6 +415,11 @@ FAMILY_TABLE = {
 
 # signed family -> (even, odd) refinement; its signed count is even - odd
 SIGNED_REFINEMENTS = {SPTKO: (BEK, BOK), POEX: (CE, CO)}
+
+# each row's token as a pattern compiled once, where "{k}" reads digits,
+# "k" or nothing, for parse_family_token
+_TOKEN_PATTERNS = {fid: re.compile(row.token.replace("{k}", r"(\d*|k)"))
+                   for fid, row in FAMILY_TABLE.items()}
 
 
 @lru_cache(maxsize=None)

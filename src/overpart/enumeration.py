@@ -275,10 +275,8 @@ def count_many(n: int, columns: Iterable[tuple[FamilySpec, bool]]) -> list[int]:
 
 def profile_tokens(k_max: int = 1) -> list[str]:
     """Column names produced by :func:`count_profile`."""
-    toks = ["pbar", "pe", "pex", "poex", "ce", "co", "poex-prime"]
-    for k in range(1, k_max + 1):
-        toks += [f"spt{k}", f"spt{k}o", f"be{k}", f"bo{k}", f"spt{k}o-prime"]
-    return toks
+    return ["pbar", "pe", "pex", "poex", "ce", "co", "poex-prime"] + [tok for k in range(1, k_max + 1)
+            for tok in (f"spt{k}", f"spt{k}o", f"be{k}", f"bo{k}", f"spt{k}o-prime")]
 
 
 def count_profile(n: int, k_max: int = 1) -> dict[str, int]:

@@ -4,7 +4,7 @@ enumeration.
 
 Each allowed part value j contributes the factor
 
-    (1 + z*q^j) / (1 - z*q^j)  =  1 + 2*sum_{m>=1} z^m q^(jm)
+    F_j = (1 + z*q^j) / (1 - z*q^j)  =  1 + 2*sum_{m>=1} z^m q^(jm)
 
 to a generating product: the numerator is the optional overlined copy,
 the denominator the plain copies, and z = +1 or -1 weights every copy
@@ -14,17 +14,38 @@ turns the two signed families (SPTKO, POEX) into their even-minus-odd
 refinements.
 
 A :class:`Series` only holds the result: the truncation order and the
-coefficients of q^0 .. q^order.  Products are never formed densely.
-``_times_part_factor`` multiplies a coefficient list by one factor in
-place: it divides by (1 - z*q^j), then multiplies by (1 + z*q^j), each
-a few slice-wide integer additions.  Every family series is read from
-the suffix products P_s over part values above s, and one backward
-pass per (order, z, parity) walks s from order down to 1 with one
-running product (two, over even and odd values, for the parity
-families), adding each q^(ks)*P_s into the spt columns as it goes.  So
-a pass costs O(order^2) additions, and it keeps O(order) integers per
-column, never a table of every P_s.  P_s is 1 plus terms above q^s;
-the factor and the column sums skip that zero band.
+coefficients of q^0 .. q^order.  Every series is a linear combination
+of a few products with polynomials in q as coefficients (as in Malik
+and Sarma, arXiv:2601.15601), and only the forward sum of a column with
+k above K_COLUMNS takes the part factors out one by one:
+
+* Products.  By Gauss's identity (Andrews, *The Theory of Partitions*,
+  ch. 2),
+
+      prod_{j>=1} (1 - q^j)/(1 + q^j) = phi(-q) = 1 + 2*sum_{m>=1} (-1)^m q^(m*m),
+
+  so the product P_0 of every F_j is 1/phi(-q) at z = 1, the
+  overpartition series (Corteel and Lovejoy, "Overpartitions", 2004),
+  and phi(-q) at z = -1.  Multiplying or dividing by the sparse phi
+  costs O(order^1.5).  The product over the even values is P_0(q^2),
+  and the one over the odd values P_0 * phi(-q^2)**z.
+* spt columns.  With P_s the product over the values above s, the
+  column k is C_k = sum_{s>=1} q^(k*s) P_s.  Since P_{s-1} = F_s P_s,
+
+      (1 - z*q^s) P_{s-1} = (1 + z*q^s) P_s,
+
+  and summing q^((k-1)*s) times this over s >= 1 telescopes to
+
+      z*(1 + q^k) C_k = q^(k-1) (P_0 + C_{k-1}) - C_{k-1} - z*q^k P_0,
+      z*(1 + q) C_1 = (1 - z*q) P_0 - 1,
+
+  so each column k <= K_COLUMNS costs O(order) additions given the one
+  before; at z = 1 the second line is T1, (1 + q) spt1 = pex - 1.
+  Dividing by 1 + q^k is a running difference along each residue class
+  mod k.  The parity columns split s by its parity and run the same
+  chain on the even and on the odd products.  A column with k above
+  K_COLUMNS is summed forward instead, P_s from P_{s-1} by taking out
+  the factor of s, in O(order^2/k) additions.
 """
 
 from __future__ import annotations
@@ -32,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from math import isqrt
 from operator import add, sub
 
 from .core import (
@@ -66,62 +88,98 @@ class Series:
         return self.coeffs[n]
 
 
+def _divide(coeffs: list[int], j: int, z: int) -> None:
+    """coeffs /= 1 - z*q^j in place: each residue class mod j is divided
+    by 1 - z*q, the running sum d[m] = c[m] + z*d[m-1]."""
+    step = None if z == 1 else lambda previous, c: c - previous
+    for r in range(min(j, len(coeffs))):
+        coeffs[r::j] = accumulate(coeffs[r::j], step)
+
+
 def _times_part_factor(coeffs: list[int], j: int, z: int) -> None:
     """coeffs *= (1 + z*q^j)/(1 - z*q^j) in place, truncated at the
     list's length."""
-    op = add if z == 1 else sub
-    # zero band (q^1 .. q^j all 0): below q^(2j) the divide adds only
-    # z*c[0] at q^j, so the blocks and the numerator start at q^(2j)
-    lo = 2 * j if j < len(coeffs) and not any(coeffs[1:j + 1]) else j
-    if j * j < len(coeffs):
-        # divide by 1 - z*q^j one residue class mod j at a time, when there
-        # are fewer classes than blocks of j: each class is divided by
-        # 1 - z*q, the running sum d[m] = c[m] + z*d[m-1]
-        step = None if z == 1 else lambda previous, c: c - previous
-        for r in range(j):
-            coeffs[r::j] = accumulate(coeffs[r::j], step)
-    else:
-        if lo > j:
-            coeffs[j] = op(coeffs[j], coeffs[0])
-        # divide by 1 - z*q^j: c[i] += z*c[i-j], ascending one block of j
-        # at a time so each block reads the already divided block below it
-        for b in range(lo, len(coeffs), j):
-            coeffs[b:b + j] = map(op, coeffs[b:b + j], coeffs[b - j:b])
-    # times 1 + z*q^j; the right-hand slices are copies, so every term
-    # reads the coefficient from before the update
-    coeffs[lo:] = map(op, coeffs[lo:], coeffs[lo - j:-j])
-    if lo > j:
-        # and the numerator's z*c[0] at q^j, read after the slice
-        coeffs[j] = op(coeffs[j], coeffs[0])
+    _divide(coeffs, j, z)
+    # times 1 + z*q^j; the right-hand slice is a copy, so every term reads
+    # the coefficient from before the update
+    coeffs[j:] = map(add if z == 1 else sub, coeffs[j:], coeffs[:-j])
+
+
+def _theta(coeffs: list[int], step: int, power: int) -> list[int]:
+    """coeffs times phi(-q^step)**power in place, for power 1 or -1, and
+    returned; phi(-q) = 1 + 2*sum_{m>=1} (-1)^m q^(m*m).  A product runs
+    down from the top coefficient, so that each reads the ones below it
+    unchanged; a quotient runs up, so that each reads them divided."""
+    terms = [(step * m * m, 2 * (-1) ** m) for m in range(1, isqrt((len(coeffs) - 1) // step) + 1)]
+    for i in range(len(coeffs))[::-power]:
+        coeffs[i] += power * sum(t * coeffs[i - e] for e, t in terms[:isqrt(i // step)])
+    return coeffs
+
+
+def _chain(prod: list[int], z: int, d: int, lift: int):
+    """Yield X_k = sum_{i>=1} q^(d*k*i) Q_i for k = 1 .. K_COLUMNS, where
+    Q_0 = ``prod`` and Q_i is Q_{i-1} over the factor F_e of e = d*i - lift.
+
+    (d, lift) = (1, 0) gives the spt columns C_k from P_0, (2, 0) the same
+    in q^2 from the even product, and (2, 1) the sums over the even s =
+    2i of q^(k*s) times the odd product above s, which loses the factor
+    of the odd value 2i - 1 at step i.  Summing q^(d*(k-1)*i) times
+    (Q_{i-1} - Q_i) = z*q^e (Q_{i-1} + Q_i) over i >= 1 gives
+
+        z*(1 + q^(d*k)) X_k = q^lift I_k - z*q^(d*k) Q_0,
+
+    with I_1 = Q_0 - 1, since that sum telescopes, and I_k = q^(d*(k-1))
+    (Q_0 + X_{k-1}) - X_{k-1}."""
+    inner = [prod[0] - 1, *prod[1:]]
+    for m in range(d, d * K_COLUMNS + 1, d):
+        col = [z * a - b for a, b in zip(([0] * lift + inner)[:len(prod)], [0] * m + prod)]
+        _divide(col, m, -1)
+        yield col
+        inner = [a - b for a, b in zip([0] * m + list(map(add, prod, col)), col)]
+
+
+def _forward_sum(prods: list[list[int]], k: int, z: int, order: int) -> list[int]:
+    """sum_{s>=1} q^(k*s) P_s, where P_s is P_{s-1} with the factor of s
+    taken out, on a list cut to the order - k*s + 1 coefficients that its
+    term reads.  With two products, over the even and over the odd
+    values, the one of s's parity loses the factor and the other is
+    read.  For k > order the sum is 0 and nothing is computed."""
+    col = [0] * (order + 1)
+    for s in range(1, order // k + 1):
+        own = s % len(prods)
+        prods[own] = prods[own][:order - k * s + 1]
+        _times_part_factor(prods[own], s, -z)
+        col[k * s:] = map(add, col[k * s:], prods[own - 1])
+    return col
 
 
 @lru_cache(maxsize=16)
 def _backward_pass(order: int, z: int, split: bool, k_top: int):
-    """Every series read from the suffix products of one (order, z,
-    parity), in one walk s = order .. 1.
+    """The products and the spt columns of one (order, z, parity).
 
-    P_s is the product of (1 + z*q^j)/(1 - z*q^j) over the part values
-    j > s: all of them, or with ``split`` one product over even values
-    and one over odd values.  At each s, q^(k*s) times P_s (for the
-    split walk, the product of the parity opposite to s) is added into
-    column k, for k <= K_COLUMNS and k = ``k_top``; then the factor of
-    s joins the running product of its parity.  Returns ``(evens, odds,
-    columns)``: the two final running products, over even and over odd
-    values when split, else P_0 twice, and a dict from k to the sum over
-    s >= 1 of q^(k*s) P_s.  Each is a tuple of q^0 .. q^order, so an
-    entry holds O(order*k) integers, and every running product handed
-    to ``_times_part_factor`` is 1 plus terms above q^s."""
-    # the even and the odd running product, one list twice unless split
-    prods = ([1] + [0] * order, [1] + [0] * order) if split else ([1] + [0] * order,) * 2
-    columns = {k: [0] * (order + 1) for k in (*range(1, K_COLUMNS + 1), k_top)}
-    for s in range(order, 0, -1):
-        above = prods[1 - s % 2]
-        for k, col in columns.items():
-            if (base := k * s) <= order:  # P_s is 1 plus terms above q^s
-                col[base] += 1
-                col[base + s + 1:] = map(add, col[base + s + 1:], above[s + 1:order - base + 1])
-        _times_part_factor(prods[s % 2], s, z)
-    return *map(tuple, prods), {k: tuple(col) for k, col in columns.items()}
+    Returns ``(evens, odds, columns)``: the products of (1 + z*q^j)/(1 -
+    z*q^j) over the even and over the odd values j when ``split``, else
+    the product P_0 over all values twice, and a dict from k to the sum
+    over s >= 1 of q^(k*s) times the product over the values above s
+    (with ``split``, over those of the parity opposite to s), for k <=
+    K_COLUMNS and k = ``k_top``.  Each is a tuple of q^0 .. q^order.
+
+    With ``split`` an odd s reads the even values above it, the product
+    E_0 at s = 1 and P_{(s-1)/2}(q^2) in general, and an even s the odd
+    values above it, so the column k is q^k (E_0 + Y_k) + B_k: Y_k is
+    the unsplit column run in q^2 from E_0, and B_k the chain of the odd
+    product over the even s."""
+    prod = _theta([1] + [0] * order, 1, -z)
+    if split:
+        evens, odds = _theta([1] + [0] * order, 2, -z), _theta(prod[:], 2, z)
+        columns = {k: [a + b for a, b in zip([0] * k + list(map(add, evens, y)), x)] for k, (y, x)
+                   in enumerate(zip(_chain(evens, z, 2, 0), _chain(odds, z, 2, 1)), 1)}
+    else:
+        evens = odds = prod
+        columns = dict(enumerate(_chain(prod, z, 1, 0), 1))
+    if k_top > K_COLUMNS:
+        columns[k_top] = _forward_sum([evens, odds] if split else [prod], k_top, z, order)
+    return tuple(evens), tuple(odds), {k: tuple(col) for k, col in columns.items()}
 
 
 def _halved(plus: Series, minus: Series, even_half: bool) -> Series:
@@ -182,8 +240,7 @@ def cross_check(n_max: int, k_max: int = 1, order: int | None = None):
     # no series code can reach it
     from .enumeration import count_profile, profile_tokens
 
-    if order is None:
-        order = max(n_max, 1)
+    order = max(n_max, 1) if order is None else order
     if order < n_max:
         raise ValueError("order must be at least n_max")
     # a member of a k-family has at least k parts, so every column with

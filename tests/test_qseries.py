@@ -167,24 +167,27 @@ class TestCrossCheck:
             cross_check(10, 1, 5)
 
     def test_corrupted_factor_detected(self, monkeypatch):
-        real = qseries._times_part_factor
+        # one theta term and one chain step, each corrupted in turn; the
+        # memoized passes are rerun through each
+        real_isqrt, real_divide = qseries.isqrt, qseries._divide
 
-        def corrupted(coeffs, j, z):
-            before = coeffs[:]
-            real(coeffs, j, z)
-            if j == 2:
-                # multiply by the j = 2 factor with its q^2 coefficient
-                # off by one: the extra term adds q^2 times the input
-                coeffs[2:] = map(add, coeffs[2:], before[:-2])
+        def short_isqrt(x):
+            # phi(-q) loses its last term: the sum over m stops one short
+            return max(real_isqrt(x) - 1, 0)
 
-        monkeypatch.setattr(qseries, "_times_part_factor", corrupted)
-        # rerun the memoized passes through the corrupted factor
-        qseries._backward_pass.cache_clear()
-        try:
-            mismatches = cross_check(13, 1, 13)
-        finally:
-            qseries._backward_pass.cache_clear()
-        assert mismatches
+        def slipped(coeffs, j, z):
+            # the k = 1 step of the unsplit chain divides by 1 - q, not 1 + q
+            real_divide(coeffs, j, -z if j == 1 else z)
+
+        for name, corrupted in (("isqrt", short_isqrt), ("_divide", slipped)):
+            with monkeypatch.context() as patch:
+                patch.setattr(qseries, name, corrupted)
+                qseries._backward_pass.cache_clear()
+                try:
+                    mismatches = cross_check(13, 1, 13)
+                finally:
+                    qseries._backward_pass.cache_clear()
+            assert mismatches, name
 
     def test_series_module_imports_no_enumeration(self):
         # the oracles stay independent: enumeration is imported only inside
@@ -262,10 +265,27 @@ class TestInPlaceEngine:
                 qseries._times_part_factor(got, j, z)
                 assert got == _mul(coeffs, _factor(j, z, n))
 
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_theta_matches_dense_product(self, n):
+        # phi(-q^step)**-z is the product of the factors of every multiple
+        # of step, and times phi(-q^step) then over it gives the input back
+        coeffs = [(7 * i * i - 3 * i + 2) % 11 - 5 for i in range(n + 1)]
+        for step in (1, 2):
+            for z in (1, -1):
+                dense = _unit(n)
+                for j in range(step, n + 1, step):
+                    dense = _mul(dense, _factor(j, z, n))
+                assert qseries._theta(_unit(n), step, -z) == dense, (step, z)
+                assert qseries._theta(qseries._theta(list(coeffs), step, z), step, -z) == coeffs
+
     @pytest.mark.parametrize("order", [*range(1, 41), 200])
     def test_family_series_matches_dense_reference(self, order):
-        # k = 5 and 6 ask a pass for a column above K_COLUMNS
-        for token in profile_tokens(6):
+        # k = 5 and 6 ask a pass for a column above K_COLUMNS, summed
+        # forward, as do k = order // 2 and order; k = order + 1 is all 0
+        tokens = profile_tokens(6)
+        for k in {order // 2, order, order + 1} - {0}:
+            tokens += profile_tokens(k)[-5:]
+        for token in tokens:
             fam, signed = parse_family_token(token)
             z = -1 if signed else 1
             assert list(family_series(fam, order, z).coeffs) == _dense_series(fam, order, z), token
@@ -274,17 +294,11 @@ class TestInPlaceEngine:
 class TestOnePass:
     @pytest.mark.parametrize("order", [1, 2, 9, 60])
     def test_one_pass_serves_every_column(self, order, monkeypatch):
-        # one walk per (order, z, parity) serves every k <= K_COLUMNS column
-        # and the P_0 and P_1 series, one factor per part value; the halved
-        # families read the two signed passes
-        calls = []
-        real = qseries._times_part_factor
-
-        def counting(coeffs, j, z):
-            calls.append((j, z))
-            real(coeffs, j, z)
-
-        monkeypatch.setattr(qseries, "_times_part_factor", counting)
+        # one pass per (order, z, parity) serves every k <= K_COLUMNS column
+        # and the P_0 and odd-product series, and none of them takes out a
+        # part factor; the halved families read the two signed passes
+        monkeypatch.setattr(qseries, "_times_part_factor",
+                            lambda coeffs, j, z: pytest.fail(f"factor of {j} taken out"))
         qseries._backward_pass.cache_clear()
         try:
             ks = range(1, qseries.K_COLUMNS + 1)
@@ -292,10 +306,10 @@ class TestOnePass:
                            ["pe", "poex", *(f"spt{k}o" for k in ks)],
                            ["poex-prime", "ce", "co", *(f"{stem}{k}{suffix}" for k in ks
                             for stem, suffix in (("spt", "o-prime"), ("be", ""), ("bo", "")))]):
-                before = len(calls)
+                before = qseries._backward_pass.cache_info().misses
                 for token in tokens * 2:
                     series_for_token(token, order)
-                assert len(calls) - before == order, tokens
+                assert qseries._backward_pass.cache_info().misses - before == 1, tokens
         finally:
             qseries._backward_pass.cache_clear()
 
@@ -315,7 +329,7 @@ class TestOnePass:
 
 class TestZeroBand:
     # a suffix product over part values above s is 1 plus terms above q^s;
-    # on that shape the primitive adds z*c[0] at q^j and slices from q^(2j)
+    # the primitive must be exact on that shape and on any other
 
     @staticmethod
     def _suffix_shape(j, n):
@@ -344,18 +358,24 @@ class TestZeroBand:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 7, 30])
     def test_suffix_entries_are_one_then_zero_to_q_s(self, order, monkeypatch):
-        # every running product the pass hands to the primitive, once per
-        # part value j, is the suffix product over values above j
+        # the forward sum of a column above K_COLUMNS hands the primitive, once
+        # per s <= order // k, the product over the values >= s (of s's parity
+        # when split) cut to the order - k*s + 1 coefficients its term reads:
+        # 1, then 0 up to q^(s-1).  For k > order it hands nothing
         real = qseries._times_part_factor
+        k = qseries.K_COLUMNS + 1
         for z in (1, -1):
             for split in (False, True):
                 handed = []
 
-                def recording(coeffs, j, z):
+                def recording(coeffs, j, sign):
                     handed.append(j)
-                    assert coeffs[:j + 1] == [1] + [0] * j, (z, split, j)
-                    real(coeffs, j, z)
+                    parity = ("odd" if j % 2 else "even") if split else "all"
+                    assert sign == -z
+                    assert coeffs == _dense_suffix(order, z, parity)[j - 1][:order - k * j + 1]
+                    assert coeffs[:j] == ([1] + [0] * (j - 1))[:len(coeffs)], (z, split, j)
+                    real(coeffs, j, sign)
 
                 monkeypatch.setattr(qseries, "_times_part_factor", recording)
-                qseries._backward_pass.__wrapped__(order, z, split, qseries.K_COLUMNS)
-                assert handed == list(range(order, 0, -1))
+                qseries._backward_pass.__wrapped__(order, z, split, k)
+                assert handed == list(range(1, order // k + 1))
