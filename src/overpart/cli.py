@@ -28,9 +28,11 @@ DEFAULT_ORDER = 200
 # O(order^1.5) additions and from spt columns k <= K_COLUMNS telescoped in
 # O(order) each; a column with a larger k is summed forward in
 # O(order^2/k).  At this order be1 (two signed passes) takes about 0.14 s
-# and 20 MiB, selftest --n-max 30 --k-max 4 (three passes) about 0.16 s
+# and 20 MiB, selftest --n-max 30 --k-max 4 (three passes) about 0.3 s
 # and 22 MiB, and the slowest columns, k = 5, about 0.4 s (sptk) and
-# 0.9 s (be) (fresh process, one core of a 2-vCPU x86-64 VM, Python 3.11)
+# 0.9 s (be) (fresh process, one core of a 2-vCPU x86-64 VM, Python 3.11).
+# Each k above K_COLUMNS costs selftest three more passes with a forward
+# sum each: --k-max 8 takes about 5-7 s, and --n-max 42 --k-max 42 28 s
 MAX_ORDER = 4000
 # count, table, verify and selftest count from a memo of run-state
 # vectors and list no overpartition; at this cap, where pbar(42) =

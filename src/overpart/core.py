@@ -16,6 +16,14 @@ one clause on the overpartition's :class:`Signature`.  Membership,
 the explanations of non-membership, and every enumerated count and
 family listing read that table.
 
+A signature reads the runs only through the last run and their run
+state: the number of odd values and the number of even values, each
+capped at 2, and the parity of the part count.  The 18 run states are
+indexed 6*odd + 2*even + parity, so no runs is state 0, and one table,
+``_STEP``, steps the index as a run of some value parity and part-count
+parity is added.  Signatures, counting and family listing all step the
+state through that table.
+
 Text literals are comma-separated tokens, largest part first, with a
 ``o`` suffix marking the overlined copy: ``"4o,2o,2,1"``.  The empty
 overpartition is written ``"[]"``.
@@ -315,24 +323,31 @@ class Signature(NamedTuple):
     opposite: bool
 
 
+# _STATES[i] is (odd, even, parity) of the run state at index i (module
+# docstring)
+_STATES = [(odd, even, parity) for odd in range(3) for even in range(3) for parity in range(2)]
+# _STEP[v & 1][t & 1][i]: the state of runs in state i once t parts of
+# value v go below them
+_STEP = [[[6 * min(odd + vo, 2) + 2 * min(even + 1 - vo, 2) + (parity ^ to)
+           for odd, even, parity in _STATES] for to in (0, 1)] for vo in (0, 1)]
+
 # one object per distinct signature, so that a lookup of an equal
 # signature stops at the identity check
 _SIGNATURES: dict[Signature, Signature] = {}
 
 
 @lru_cache(maxsize=None)
-def _signature_of(odd_values: int, even_values: int, parity: int,
-                  last=(0, False, 0, 1)) -> Signature:
-    """The :class:`Signature` of runs with ``odd_values`` odd and
-    ``even_values`` even values, a part count of parity ``parity`` and
-    last run ``last``, given as ``(value & 1, value == 1, plain, over)``
-    (the default stands for no run, so no smallest plain part).  Each
-    field is defined here once.  The fields read the two totals only up
-    to 2 and the last value only through its parity and whether it is 1,
-    so callers pass ``min(total, 2)`` and that much of the value, and
-    runs that differ only beyond it share one cache entry;
-    :func:`signature` and the counting in :mod:`overpart.enumeration`
-    reduce runs to these keys."""
+def _signature_of(state: int, last=(0, False, 0, 1)) -> Signature:
+    """The :class:`Signature` of runs whose run state, the last run
+    included, has index ``state`` and whose last run is ``last``, given
+    as ``(value & 1, value == 1, plain, over)`` (the default stands for
+    no run, so no smallest plain part).  Each field is defined here
+    once.  The fields read the runs only through their run state and the
+    last value only through its parity and whether it is 1, so runs that
+    differ beyond these share one cache entry; :func:`signature` and the
+    counting and listing in :mod:`overpart.enumeration` reduce runs to
+    these keys."""
+    odd_values, even_values, parity = _STATES[state]
     odd_last, one, plain, over = last
     k = 0 if over else plain
     # every other value has the opposite parity: odd s is the only odd
@@ -344,17 +359,14 @@ def _signature_of(odd_values: int, even_values: int, parity: int,
 
 def _weighed_signature(entries) -> tuple[int, Signature]:
     """The weight and the interned :class:`Signature` of a canonical
-    sequence of ``(value, plain, over)`` runs, read in one pass."""
-    odd_values = parts = weight = 0
+    sequence of ``(value, plain, over)`` runs, read in one pass that steps
+    the run state by :data:`_STEP`."""
+    state = weight = 0
     v, p, o = 0, 0, 1  # no last run, as in the empty overpartition
     for v, p, o in entries:  # leaves (v, p, o) at the last run
-        odd_values += v & 1
-        parts += p + o
+        state = _STEP[v & 1][(p + o) & 1][state]
         weight += v * (p + o)
-    even_values = len(entries) - odd_values
-    sig = _signature_of(odd_values if odd_values < 2 else 2, even_values if even_values < 2 else 2,
-                        parts & 1, (v & 1, v == 1, p, o))
-    return weight, sig
+    return weight, _signature_of(state, (v & 1, v == 1, p, o))
 
 
 def signature(entries) -> Signature:

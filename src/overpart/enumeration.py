@@ -6,11 +6,9 @@ each overpartition is reduced to its :class:`~overpart.core.Signature`,
 and the table is read in one pass per distinct signature and
 multiplicity.  Listing walks the runs in enumeration order (Knuth,
 TAOCP 4A, 7.2.1.4, generating all partitions) and carries each
-overpartition's run state down to it: the number of odd values and the
-number of even values, each capped at 2, and the parity of the part
-count, which is all a signature reads of the runs above the last one.
-The 18 run states are stepped by one table, for a run's value parity
-and part-count parity, in listing and in counting alike.
+overpartition's run state down to it, as its index.  The run state and
+its step table ``_STEP`` are defined in :mod:`overpart.core`; listing
+and counting step the state through that one table.
 
 A family is listed by one walk that skips every subtree in which no
 overpartition is a member.  One memo, an unbounded ``lru_cache`` shared
@@ -87,7 +85,7 @@ from typing import Iterable, Iterator
 
 from .core import (
     FAMILY_IDS, FAMILY_TABLE, PBAR, SIGNED_REFINEMENTS, FamilySpec, OverPartition, Signature,
-    _canonical, _held, _signature_of, member, signature,
+    _STEP, _canonical, _held, _signature_of, member, signature,
 )
 
 __all__ = [
@@ -96,15 +94,8 @@ __all__ = [
     "IDENTITIES", "IDENTITY_START", "identity_sides", "derivation_sides",
 ]
 
-# the run state of a set of runs: its numbers of odd and of even values,
-# each capped at 2, and the parity of its part count, which is all that
-# _signature_of reads of the runs above the last; a state vector holds 18
-# counts, one per state, at index 6*odd + 2*even + parity
-_STATES = [(odd, even, parity) for odd in range(3) for even in range(3) for parity in range(2)]
-# _STEP[v & 1][t & 1][i]: the state of runs in state i once t parts of
-# value v go below them
-_STEP = [[[6 * min(odd + vo, 2) + 2 * min(even + 1 - vo, 2) + (parity ^ to)
-           for odd, even, parity in _STATES] for to in (0, 1)] for vo in (0, 1)]
+# a state vector holds 18 counts, one per run state, at the state's index
+# (defined in overpart.core, which steps it by _STEP)
 _NONE = [0] * 18
 # _ABOVE[m][s], for s >= 1, is the state vector of the overpartitions of
 # m, m - 2s, m - 4s, ... whose parts all exceed s, so the vector of m
@@ -136,22 +127,22 @@ def _runs(remaining: int, cap: int, fam: FamilySpec = _PBAR, state: int = 0):
                 for over, head in enumerate((head_plain, head_over)):
                     if member(sig := _signatures(v & 1, v == 1, total, over)[state], fam):
                         yield (head,), sig
-            elif _first_value(fam.id, fam.k, rest, min(v - 1, rest), *_STATES[below]):
+            elif _first_value(fam.id, fam.k, rest, min(v - 1, rest), below):
                 for tail, sig in _runs(rest, v - 1, fam, below):
                     yield (head_plain,) + tail, sig
                     yield (head_over,) + tail, sig
-        v = _first_value(fam.id, fam.k, remaining, v - 1, *_STATES[state])
+        v = _first_value(fam.id, fam.k, remaining, v - 1, state)
 
 
 # keyed by the spec's fields, since a FamilySpec hashes in Python, and by
-# the three parts of the run state
+# the run-state index
 @lru_cache(maxsize=None)
-def _first_value(fid: str, k: int, remaining: int, cap: int, odd, even, parity) -> int:
+def _first_value(fid: str, k: int, remaining: int, cap: int, state: int) -> int:
     # the largest value of a first run in the walk of this state by family
     # (fid, k), 0 when it yields none: the walk stops at its first member.
     # Callers pass cap <= remaining, since a larger cap acts as remaining,
     # so each state has one key
-    first = next(_runs(remaining, cap, FamilySpec(fid, k), 6 * odd + 2 * even + parity), None)
+    first = next(_runs(remaining, cap, FamilySpec(fid, k), state), None)
     return first[0][0][0] if first else 0
 
 
@@ -238,7 +229,7 @@ def _signatures(odd: int, one: bool, t: int, over: int) -> tuple[Signature, ...]
     # for each state of the runs above, the signature once a smallest run
     # of t parts goes below them, its value v of class (v & 1, v == 1) =
     # (odd, one), with an overlined head when over is 1
-    return tuple(_signature_of(*_STATES[j], (odd, one, t - over, over)) for j in _STEP[odd][t & 1])
+    return tuple(_signature_of(j, (odd, one, t - over, over)) for j in _STEP[odd][t & 1])
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ import pytest
 import overpart.enumeration as enumeration
 from overpart.core import (
     BEK, BOK, CE, CO, FAMILY_IDS, PBAR, PE, PEX, POEX, SIGNED_REFINEMENTS, SPTK,
-    SPTKO, FamilySpec, OverPartition, _signature_of, is_member, member, parse,
+    SPTKO, FamilySpec, OverPartition, _STEP, _signature_of, is_member, member, parse,
     parse_family_token, signature,
 )
 from overpart.enumeration import (
@@ -17,6 +17,7 @@ from overpart.enumeration import (
     family_elements, identity_sides, overpartitions, profile_tokens,
 )
 from overpart.qseries import family_series
+from test_core import readme_signature
 
 # pbar(n) for n = 0..18 (OEIS A015128)
 PBAR_0_18 = [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232, 344, 504, 728, 1040,
@@ -231,6 +232,20 @@ class TestRunStateMemo:
                 # a value above the weight reads as the weight itself
                 assert enumeration._sums(m, m + 1 + s) == brute(m, m + 1 + s), (m, s)
         assert enumeration._sums(-1, 3) == [0] * 18
+
+    def test_step_table_folds_to_the_state_index(self):
+        # folding _STEP over the runs of every overpartition of weight <= 14
+        # (the empty one included) gives the index that
+        # test_state_vectors_equal_brute_force writes inline, and
+        # _signature_of reads the README's signature from it and the last run
+        for pi in (pi for m in range(15) for pi in overpartitions(m)):
+            state = 0
+            for v, p, o in pi:
+                state = _STEP[v & 1][(p + o) & 1][state]
+            odd = sum(v & 1 for v, _, _ in pi)
+            assert state == 6 * min(odd, 2) + 2 * min(len(pi) - odd, 2) + pi.num_parts % 2, str(pi)
+            v, p, o = pi[-1] if pi else (0, 0, 1)
+            assert _signature_of(state, (v & 1, v == 1, p, o)) == readme_signature(pi), str(pi)
 
     def test_profile_to_150_equals_the_series(self):
         # the same two oracles at every weight up to 150, far past the
@@ -484,5 +499,5 @@ class TestFamilyWalk:
         family_elements.cache_clear()
         family_elements(FamilySpec(SPTKO, 1), 20)
         assert enumeration._first_value.cache_info().currsize == 476
-        assert enumeration._first_value("SPTKO", 1, 20, 20, 0, 0, 0) == 20
-        assert enumeration._first_value("BOK", 1, 16, 16, 0, 0, 0) == 0
+        assert enumeration._first_value("SPTKO", 1, 20, 20, 0) == 20
+        assert enumeration._first_value("BOK", 1, 16, 16, 0) == 0
