@@ -1,11 +1,16 @@
 """Executable constructive maps behind the five counting identities,
 with branch tracing and exhaustive verification harnesses.
 
-Each map acts on the canonical run-length form through the entry
-surgery primitives of :mod:`overpart.core`, so merges such as
-(4,3) -> (4,4) are handled uniformly.  Every application is returned
-as a :class:`MapTrace` recording the branch taken, the tagged codomain
-component hit, and whether the relevant sign statistic flipped.
+Each map rewrites only the last two runs of the canonical run-length
+form.  A domain member ends in one plain copy of s, and every move
+swaps that copy for one copy of s - 1, s or s + 1; T3's matching
+deletes the 1 and does the same to one copy of s2.  The run above the
+moved copy holds a value at least one larger, and every other run a
+larger one still, so the new copy either joins the run directly above,
+as in (4,3) -> (4,4), or becomes a run of its own.  Every application
+is returned as a :class:`MapTrace` recording the branch taken, the
+tagged codomain component hit, and whether the relevant sign statistic
+flipped.
 
 Identity map summary (s = smallest plain part, s2 = next part value up):
 
@@ -65,8 +70,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import (
-    BEK, BOK, CE, CO, INFINITY, PE, PEX, POEX, SPTK, SPTKO,
-    FamilySpec, OverPartition, Stats, _weighed_signature, member, stats, why_not_member,
+    BEK, BOK, CE, CO, INFINITY, PE, PEX, POEX, SPTK, SPTKO, CollisionError, FamilySpec,
+    OverPartition, Stats, _canonical, _weighed_signature, member, stats, why_not_member,
 )
 from .enumeration import IDENTITY_START, count_many, family_elements, identity_sides
 
@@ -100,14 +105,27 @@ _TARGETS = {
 }
 
 
-# move -> the overpartition it makes of pi, whose smallest plain part is s
+def _move(pi, value: int, over: int) -> OverPartition:
+    # pi less its last run, which holds a single copy, plus one copy of
+    # value, overlined when over is 1.  value is at most one above the
+    # dropped run's, so it can only join the run directly above, which is
+    # then rebuilt in place; a second overline fails as entry surgery does
+    rest, merge = pi[:-1], len(pi) > 1 and pi[-2][0] == value
+    _, p, o = rest[-1] if merge else (value, 0, 0)
+    if o and over:
+        raise CollisionError(f"value {value} is already overlined")
+    return _canonical(rest[:len(rest) - merge] + ((value, p + 1 - over, o + over),))
+
+
+# move -> the overpartition it makes of pi, a domain member, whose last run
+# is one plain copy of its smallest plain part s
 _MOVES = {
     "keep": lambda pi, s: pi,
-    "delete": lambda pi, s: pi.remove_plain(1),  # delete the 1
-    "overline": lambda pi, s: pi.remove_plain(s).add_overline(s),  # overline s
-    "lift": lambda pi, s: pi.remove_plain(s).add_overline(s + 1),  # s -> overlined s+1
-    "lower": lambda pi, s: pi.remove_plain(s).add_overline(s - 1),  # s -> overlined s-1
-    "raise": lambda pi, s: pi.remove_plain(s).add_plain(s + 1),  # s -> plain s+1
+    "delete": lambda pi, s: _canonical(pi[:-1]),  # delete the 1
+    "overline": lambda pi, s: _move(pi, s, 1),  # overline s
+    "lift": lambda pi, s: _move(pi, s + 1, 1),  # s -> overlined s+1
+    "lower": lambda pi, s: _move(pi, s - 1, 1),  # s -> overlined s-1
+    "raise": lambda pi, s: _move(pi, s + 1, 0),  # s -> plain s+1
 }
 
 
@@ -245,9 +263,8 @@ def _labelled_map(theorem: str, pi: OverPartition, source_tag: str, n: int) -> M
         case = "one" if st.s == 1 and source_tag == SOURCE_N else "odd" if st.s % 2 else "even"
     if (source_tag, case) not in labels:  # only T3's even-s map leaves cases out
         raise PreconditionError(
-            f"{role} map needs an even smallest plain part (got {st.s}); "
-            f"odd-s elements other than s = 1 in the N summand are images "
-            f"of the T3 matching, not sources")
+            f"{role} map needs an even smallest plain part (got {st.s}); odd-s elements "
+            f"other than s = 1 in the N summand are images of the T3 matching, not sources")
     branch, move, target = labels[source_tag, case]
     out = _MOVES[move](pi, st.s)
     return MapTrace(theorem, source_tag, branch, pi, out, target, _flip(st, out, target))
@@ -270,15 +287,17 @@ def inv_t1(mu: OverPartition, n: int) -> tuple[OverPartition, str]:
 
 
 def _inv_t1(mu: OverPartition) -> tuple[OverPartition, str]:
-    # inv_t1 of an element of pex(n), n > 1, which the caller has checked
+    # inv_t1 of an element of pex(n), n > 1, which the caller has checked,
+    # rewriting its last run (m, p, o).  pex has no plain 1, so m = 1 is an
+    # overlined 1; undoing f4 leaves p - 1 + o >= 1 copies of m in place
     m, p, o = mu[-1]
     if m == 1:
-        return mu.remove_overline(1).add_plain(1), SOURCE_N
+        return _canonical(mu[:-1] + ((1, 1, 0),)), SOURCE_N
     if p == 0:
-        return mu.remove_overline(m).add_plain(m - 1), SOURCE_N_MINUS_1
+        return _canonical(mu[:-1] + ((m - 1, 1, 0),)), SOURCE_N_MINUS_1
     if p == 1 and not o:
         return mu, SOURCE_N
-    return mu.remove_plain(m).add_plain(m - 1), SOURCE_N_MINUS_1
+    return _canonical(mu[:-1] + ((m, p - 1, o), (m - 1, 1, 0))), SOURCE_N_MINUS_1
 
 
 def map_t2(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
@@ -301,16 +320,17 @@ def map_t3_odd(pi: OverPartition, n: int) -> MapTrace:
     st = _require(pi, _SPT1O, n, "T3 matching source")
     if st.s != 1:
         raise PreconditionError(
-            f"T3 matching applies only when the smallest plain part is 1 "
-            f"(got {st.s})")
+            f"T3 matching applies only when the smallest plain part is 1 (got {st.s})")
     if len(pi) == 1:  # the 1 is the only entry
         raise PreconditionError("no part above the 1 to act on")
-    s2, plain, over = pi[-2]  # the 1 is plain-only, so it is the last entry
-    base = pi.remove_plain(1)
-    if plain:
-        branch, target, out = "odd-plain", "SPT1O-N-2", base.remove_plain(s2).add_plain(s2 - 1)
-    else:
-        branch, target, out = "odd-overlined", "SPT1O-N", base.remove_overline(s2).add_plain(s2 + 1)
+    # the 1 is plain-only, so it is the last run; deleting it leaves s2's
+    # run last, and s2's copy moves to s2 - 1 (a new last run) or s2 + 1
+    s2, plain, over = pi[-2]
+    if plain:  # s2's run keeps its other copies, if any, in place
+        branch, target, out = "odd-plain", "SPT1O-N-2", _canonical(
+            pi[:-2] + ((s2, plain - 1, over),) * (plain + over > 1) + ((s2 - 1, 1, 0),))
+    else:  # s2's run is one overlined copy
+        branch, target, out = "odd-overlined", "SPT1O-N", _move(pi[:-1], s2 + 1, 0)
     return MapTrace("T3", SOURCE_N, branch, pi, out, target, _flip(st, out, target),
                     plain >= 1 and over == 1)
 

@@ -136,13 +136,10 @@ def cmd_map(args) -> tuple[str, int]:
     trace = apply_map(args.theorem, pi, args.n, args.source)
     if args.format == "json":
         return json.dumps(trace.to_json_dict()), EXIT_OK
-    text = (f"theorem={trace.theorem} branch={trace.branch} "
-            f"source={trace.source_tag} input={trace.input} "
-            f"output={trace.output} target={trace.target_tag} "
-            f"signFlip={str(trace.sign_flip).lower()}")
-    if trace.ambiguous_s2:
-        text += " ambiguousS2=true"
-    return text, EXIT_OK
+    return (f"theorem={trace.theorem} branch={trace.branch} source={trace.source_tag} "
+            f"input={trace.input} output={trace.output} target={trace.target_tag} "
+            f"signFlip={str(trace.sign_flip).lower()}" + " ambiguousS2=true" * trace.ambiguous_s2,
+            EXIT_OK)
 
 
 def _audit_lines(theorem: str, n: int, golden: bool) -> tuple[list[str], bool]:
@@ -286,8 +283,7 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(f"run '{parser.prog} {args.command} --help' for usage",
-              file=sys.stderr)
+        print(f"run '{parser.prog} {args.command} --help' for usage", file=sys.stderr)
         return EXIT_USAGE
     try:
         _emit(text, args.out)

@@ -5,7 +5,7 @@ import pytest
 
 import overpart.bijections as bijections
 import overpart.enumeration as enumeration
-from overpart.core import FamilySpec, SPTKO, parse, stats
+from overpart.core import PEX, SPTKO, CollisionError, FamilySpec, OverPartition, parse, stats
 from overpart.bijections import (
     SOURCE_N, SOURCE_N_MINUS_1, SOURCE_N_MINUS_2,
     PreconditionError, apply_map, inv_t1, map_t1, map_t2, map_t3_even,
@@ -355,6 +355,101 @@ class TestWeightContracts:
             spto = FamilySpec(SPTKO, 1)
             for pi in family_elements(spto, n):
                 assert map_t2(pi, SOURCE_N, n).output.weight == n - 1
+
+
+# the entry surgery that the moves, T1's inverse and T3's matching used
+# before they became rewrites of the last two runs, kept as their reference
+SURGERY_MOVES = {
+    "keep": lambda pi, s: pi,
+    "delete": lambda pi, s: pi.remove_plain(1),
+    "overline": lambda pi, s: pi.remove_plain(s).add_overline(s),
+    "lift": lambda pi, s: pi.remove_plain(s).add_overline(s + 1),
+    "lower": lambda pi, s: pi.remove_plain(s).add_overline(s - 1),
+    "raise": lambda pi, s: pi.remove_plain(s).add_plain(s + 1),
+}
+
+
+def surgery_inv_t1(mu):
+    m, p, o = mu[-1]
+    if m == 1:
+        return mu.remove_overline(1).add_plain(1), SOURCE_N
+    if p == 0:
+        return mu.remove_overline(m).add_plain(m - 1), SOURCE_N_MINUS_1
+    if p == 1 and not o:
+        return mu, SOURCE_N
+    return mu.remove_plain(m).add_plain(m - 1), SOURCE_N_MINUS_1
+
+
+def surgery_t3_odd(pi):
+    s2, plain, _ = pi[-2]
+    base = pi.remove_plain(1)
+    if plain:
+        return base.remove_plain(s2).add_plain(s2 - 1)
+    return base.remove_overline(s2).add_plain(s2 + 1)
+
+
+def meeting_cases(tr, move):
+    # the cases of a trace in which the rewrite meets a run already there:
+    # a raised or lifted s joins the run at s + 1; T3's matching lowers s2 = 2
+    # into the deleted 1's place, lowers one of several plain copies of s2,
+    # or moves an overlined s2 onto s2 + 1
+    s, (s2, plain, _) = tr.input[-1][0], tr.input[-2] if len(tr.input) > 1 else (0, 0, 0)
+    return {case for case, holds in [
+        ("joins-s+1", move in ("lift", "raise") and s2 == s + 1),
+        ("s2=2", tr.branch == "odd-plain" and s2 == 2),
+        ("more-plain-s2", tr.branch == "odd-plain" and plain > 1),
+        ("overlined-s2", tr.branch == "odd-overlined")] if holds}
+
+
+class TestRewritesMatchSurgery:
+    # every move, T1's inverse and T3's matching rewrite the last two runs;
+    # they must give what the entry surgery gives, as canonical runs
+
+    @staticmethod
+    def _canonical(out):
+        assert type(out) is OverPartition
+        assert OverPartition(out) == out  # revalidated: canonical runs
+
+    @pytest.mark.parametrize("theorem, meeting", [
+        ("T1", {("f4", "joins-s+1")}),
+        ("T2", {("D", "joins-s+1"), ("E", "joins-s+1")}),
+        ("T3", {("odd-plain", "s2=2"), ("odd-plain", "more-plain-s2"),
+                ("odd-overlined", "overlined-s2")}),
+        ("T4e", {("CaseI-n-2", "joins-s+1"), ("CaseII-n-2", "joins-s+1")}),
+        ("T4o", {("CaseI-n-2", "joins-s+1"), ("CaseII-n-2", "joins-s+1")}),
+    ])
+    def test_every_domain_element_to_20(self, theorem, meeting):
+        moves = {branch: move for branch, move, _ in bijections._AUDITS[theorem][5].values()}
+        met = set()
+        for n in range(IDENTITY_START[theorem], 21):
+            for tr in bijections.all_traces(theorem, n):
+                move = moves.get(tr.branch)  # None for T3's matching
+                if move is None:
+                    want = surgery_t3_odd(tr.input)
+                else:
+                    want = SURGERY_MOVES[move](tr.input, tr.input[-1][0])
+                assert tr.output == want, (n, tr)
+                self._canonical(tr.output)
+                met |= {(tr.branch, case) for case in meeting_cases(tr, move)}
+        assert meeting <= met, met
+
+    def test_inv_t1_on_every_pex_element_to_20(self):
+        f4 = 0  # undone f4 moves: the last run keeps p - 1 + o >= 1 copies
+        for n in range(2, 21):
+            for mu in family_elements(FamilySpec(PEX), n):
+                back = bijections._inv_t1(mu)
+                assert back == surgery_inv_t1(mu), mu
+                self._canonical(back[0])
+                f4 += back[1] == SOURCE_N_MINUS_1 and mu[-1][1] > 0
+        assert f4
+
+    def test_lift_onto_an_overlined_copy_collides_as_surgery_does(self):
+        pi = parse("3o,2")
+        with pytest.raises(CollisionError) as surgery:
+            SURGERY_MOVES["lift"](pi, 2)
+        with pytest.raises(CollisionError) as rewrite:
+            bijections._MOVES["lift"](pi, 2)
+        assert str(rewrite.value) == str(surgery.value) == "value 3 is already overlined"
 
 
 class TestAuditFailures:

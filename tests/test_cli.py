@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import time
 
@@ -9,6 +10,7 @@ import overpart.cli as cli
 import overpart.enumeration as enumeration
 import overpart.qseries as qseries
 from overpart.cli import MAX_AUDIT_N, MAX_N, MAX_ORDER, main
+from overpart.core import OverPartition
 from overpart.enumeration import profile_tokens
 from overpart.qseries import Series
 
@@ -365,6 +367,30 @@ class TestCheckBijection:
         lines = out.splitlines()
         assert "  problem: inverse(8o,1): T1 inverse: 8o,1 has weight 9, expected 8" in lines
         assert out.count("  violation: ") == 7
+
+
+# SHA-256 of the stdout of `check-bijection T --n-max 18 --golden`, as the
+# maps printed it when every move went through the entry surgery of core
+SURGERY_AUDIT_DIGESTS = {
+    "T1": "5c209c5cb03cfd3e9f6b7024868225558a16fde1f66d53fc47063538210b191c",
+    "T2": "d493d8097a28b3afb7a29b54bb267d933eecd271e92c7ad1fdcdf4e7026dba98",
+    "T3": "44531c902f6501f2bbb2b4435a5d48adb296666811267bbac4126b0921c0fe53",
+    "T4e": "d7e16da2d273096370cb9008a3dfeaf6f6b048c2bad48077c77a8682f50c53d1",
+    "T4o": "214ddf8c37850e618365f4450082f8d8cfed63957673f78d36cf94ae7c8fc830",
+}
+
+
+class TestAuditPathOffSurgery:
+    @pytest.mark.parametrize("theorem", SURGERY_AUDIT_DIGESTS)
+    def test_audits_to_18_print_the_same_without_entry_surgery(self, capsys, monkeypatch,
+                                                                theorem):
+        def refuse(*args):
+            raise AssertionError("entry surgery on the audit path")
+
+        monkeypatch.setattr(OverPartition, "_edit", refuse)
+        code, out, err = run(capsys, "check-bijection", theorem, "--n-max", "18", "--golden")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == SURGERY_AUDIT_DIGESTS[theorem]
 
 
 class TestSeries:
