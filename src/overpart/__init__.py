@@ -15,9 +15,8 @@ from .enumeration import (
 from .qseries import Series, cross_check, family_series
 from .bijections import (
     SOURCE_N, SOURCE_N_MINUS_1, SOURCE_N_MINUS_2, MapTrace,
-    PreconditionError, VerificationReport, all_traces, apply_map, inv_t1,
-    map_t1, map_t2, map_t3_even, map_t3_odd, map_t4, verify_bijection,
-    verify_t3,
+    PreconditionError, VerificationReport, apply_map, inv_t1, map_t1,
+    map_t2, map_t3_even, map_t3_odd, map_t4, verify_bijection, verify_t3,
 )
 
 __version__ = "0.1.0"

@@ -79,7 +79,7 @@ __all__ = [
     "SOURCE_N", "SOURCE_N_MINUS_1", "SOURCE_N_MINUS_2",
     "PreconditionError", "MapTrace", "VerificationReport",
     "map_t1", "inv_t1", "map_t2", "map_t3_odd", "map_t3_even", "map_t4",
-    "apply_map", "all_traces", "verify_bijection", "verify_t3",
+    "apply_map", "verify_bijection", "verify_t3",
 ]
 
 SOURCE_N = "N"
@@ -109,7 +109,7 @@ def _move(pi, value: int, over: int) -> OverPartition:
     # pi less its last run, which holds a single copy, plus one copy of
     # value, overlined when over is 1.  value is at most one above the
     # dropped run's, so it can only join the run directly above, which is
-    # then rebuilt in place; a second overline fails as entry surgery does
+    # then rebuilt in place; a second overline of value raises CollisionError
     rest, merge = pi[:-1], len(pi) > 1 and pi[-2][0] == value
     _, p, o = rest[-1] if merge else (value, 0, 0)
     if o and over:
@@ -210,9 +210,9 @@ class VerificationReport:
     image and codomain cardinalities: the distinct images inside each
     component, and its size from exact counts (for T3's matching, the
     elements left unmapped), so ``codomain_size`` is counted, not
-    listed.  ``traces`` holds the map
-    applications the audit made, in domain enumeration order: those of
-    :func:`all_traces`, less any that raised (reported in ``problems``).
+    listed.  ``traces`` holds every map application the audit made, in
+    domain enumeration order; a map that raised has no trace, and is
+    reported in ``problems``.
     """
 
     theorem: str
@@ -475,16 +475,6 @@ def _audit(theorem: str, n: int) -> VerificationReport:
                 _check_t1_inverse(mu, n, True, None, late)
     report.problems += late
     return report
-
-
-def all_traces(theorem: str, n: int) -> list[MapTrace]:
-    """Every map application of the named identity at weight ``n``, in
-    domain enumeration order.  For T3 this is the matching move on the
-    s=1 sources plus the even-s map on both summands."""
-    fam, low, _, _ = _audit_row(theorem, n)
-    return [tr for tag in (SOURCE_N, low)
-            for pi in family_elements(fam, n + _OFFSET[tag])
-            if (tr := _audit_trace(theorem, pi, tag, n)) is not None]
 
 
 def verify_bijection(theorem: str, n: int) -> VerificationReport:

@@ -100,7 +100,7 @@ class OverPartition(tuple):
     collections still visit.
     Construct from entries (validated), from expanded parts with
     :meth:`from_parts`, or from a literal with :func:`parse`.
-    Enumeration and entry surgery skip revalidation, because their
+    Enumeration and the map moves skip revalidation, because their
     results are canonical by construction.
     """
 
@@ -159,50 +159,11 @@ class OverPartition(tuple):
     def num_parts(self) -> int:
         return sum(p + o for _, p, o in self)
 
-    # ---- entry surgery (all return new instances) -------------------
-
-    def add_plain(self, value: int) -> "OverPartition":
-        return self._edit(_positive(value), 1, 0)
-
-    def remove_plain(self, value: int) -> "OverPartition":
-        return self._edit(value, -1, 0)
-
-    def add_overline(self, value: int) -> "OverPartition":
-        return self._edit(_positive(value), 0, 1)
-
-    def remove_overline(self, value: int) -> "OverPartition":
-        return self._edit(value, 0, -1)
-
-    def _edit(self, value: int, plain: int, over: int) -> "OverPartition":
-        # one copy of value more (+1) or fewer (-1), plain or overlined;
-        # rebuilds only the entry it changes and shares the rest
-        for i, (v, p, o) in enumerate(self):
-            if v == value:
-                p, o = p + plain, o + over
-                if p < 0 or o < 0:
-                    kind = "plain" if p < 0 else "overlined"
-                    raise OverpartitionError(f"no {kind} copy of {value} to remove")
-                if o > 1:
-                    raise CollisionError(f"value {value} is already overlined")
-                return _canonical(self[:i] + (((v, p, o),) if p + o else ()) + self[i + 1:])
-            if plain + over > 0 and v < value:
-                return _canonical(self[:i] + ((value, plain, over),) + self[i:])
-        if plain + over < 0:
-            raise OverpartitionError(f"no part of value {value}")
-        return _canonical(self + ((value, plain, over),))
-
     def __str__(self) -> str:
         return self.to_text()
 
     def __repr__(self) -> str:
         return f"OverPartition({self.to_text()!r})"
-
-
-def _positive(value) -> int:
-    value = index(value)  # a new entry must hold an int
-    if value < 1:
-        raise OverpartitionError(f"part value must be positive, got {value}")
-    return value
 
 
 def _canonical(entries) -> OverPartition:

@@ -5,13 +5,16 @@ import pytest
 
 import overpart.bijections as bijections
 import overpart.enumeration as enumeration
-from overpart.core import PEX, SPTKO, CollisionError, FamilySpec, OverPartition, parse, stats
+from overpart.core import (
+    PEX, SPTKO, CollisionError, FamilySpec, OverPartition, OverpartitionError, parse, stats,
+)
 from overpart.bijections import (
     SOURCE_N, SOURCE_N_MINUS_1, SOURCE_N_MINUS_2,
     PreconditionError, apply_map, inv_t1, map_t1, map_t2, map_t3_even,
     map_t3_odd, map_t4, verify_bijection, verify_t3,
 )
 from overpart.enumeration import IDENTITY_START, family_elements, identity_sides, overpartitions
+from reference_edit import edit_parts
 
 
 class TestMapT1:
@@ -329,10 +332,10 @@ class TestAudits:
             verify_t3(2)
 
     def test_unknown_theorem_messages(self):
-        # T3 has an audit row, which all_traces reads; only the
+        # an unknown theorem has no audit row; T3 has one, but the
         # verify_bijection entry point sends T3 to verify_t3
         with pytest.raises(ValueError, match=r"^no bijection audit for 'T9'$"):
-            bijections.all_traces("T9", 5)
+            verify_bijection("T9", 5)
         with pytest.raises(ValueError, match=r"^no bijection audit for 'T3' \(T3 has its own\)$"):
             verify_bijection("T3", 5)
 
@@ -357,35 +360,39 @@ class TestWeightContracts:
                 assert map_t2(pi, SOURCE_N, n).output.weight == n - 1
 
 
-# the entry surgery that the moves, T1's inverse and T3's matching used
-# before they became rewrites of the last two runs, kept as their reference
-SURGERY_MOVES = {
-    "keep": lambda pi, s: pi,
-    "delete": lambda pi, s: pi.remove_plain(1),
-    "overline": lambda pi, s: pi.remove_plain(s).add_overline(s),
-    "lift": lambda pi, s: pi.remove_plain(s).add_overline(s + 1),
-    "lower": lambda pi, s: pi.remove_plain(s).add_overline(s - 1),
-    "raise": lambda pi, s: pi.remove_plain(s).add_plain(s + 1),
+# the moves, T1's inverse and T3's matching as edits of the expanded parts,
+# the reference for their rewrites of the last two runs
+REFERENCE_MOVES = {
+    "keep": lambda pi, s: edit_parts(pi),
+    "delete": lambda pi, s: edit_parts(pi, [(1, False)]),
+    "overline": lambda pi, s: edit_parts(pi, [(s, False)], [(s, True)]),
+    "lift": lambda pi, s: edit_parts(pi, [(s, False)], [(s + 1, True)]),
+    "lower": lambda pi, s: edit_parts(pi, [(s, False)], [(s - 1, True)]),
+    "raise": lambda pi, s: edit_parts(pi, [(s, False)], [(s + 1, False)]),
 }
 
 
-def surgery_inv_t1(mu):
+def reference_inv_t1(mu):
     m, p, o = mu[-1]
     if m == 1:
-        return mu.remove_overline(1).add_plain(1), SOURCE_N
+        return edit_parts(mu, [(1, True)], [(1, False)]), SOURCE_N
     if p == 0:
-        return mu.remove_overline(m).add_plain(m - 1), SOURCE_N_MINUS_1
+        return edit_parts(mu, [(m, True)], [(m - 1, False)]), SOURCE_N_MINUS_1
     if p == 1 and not o:
-        return mu, SOURCE_N
-    return mu.remove_plain(m).add_plain(m - 1), SOURCE_N_MINUS_1
+        return edit_parts(mu), SOURCE_N
+    return edit_parts(mu, [(m, False)], [(m - 1, False)]), SOURCE_N_MINUS_1
 
 
-def surgery_t3_odd(pi):
+def reference_t3_odd(pi):
     s2, plain, _ = pi[-2]
-    base = pi.remove_plain(1)
     if plain:
-        return base.remove_plain(s2).add_plain(s2 - 1)
-    return base.remove_overline(s2).add_plain(s2 + 1)
+        return edit_parts(pi, [(1, False), (s2, False)], [(s2 - 1, False)])
+    return edit_parts(pi, [(1, False), (s2, True)], [(s2 + 1, False)])
+
+
+def audit_traces(theorem, n):
+    # every map application of the audit at n, in domain enumeration order
+    return (verify_t3(n) if theorem == "T3" else verify_bijection(theorem, n)).traces
 
 
 def meeting_cases(tr, move):
@@ -403,12 +410,16 @@ def meeting_cases(tr, move):
 
 class TestRewritesMatchSurgery:
     # every move, T1's inverse and T3's matching rewrite the last two runs;
-    # they must give what the entry surgery gives, as canonical runs
+    # they must give what surgery on the expanded parts (edit_parts) gives,
+    # as canonical runs of exact (int, int, int) tuples, which the garbage
+    # collector stops tracking (OverPartition's docstring)
 
     @staticmethod
     def _canonical(out):
         assert type(out) is OverPartition
         assert OverPartition(out) == out  # revalidated: canonical runs
+        assert all(type(e) is tuple and len(e) == 3
+                   and all(type(x) is int for x in e) for e in out), out
 
     @pytest.mark.parametrize("theorem, meeting", [
         ("T1", {("f4", "joins-s+1")}),
@@ -422,12 +433,12 @@ class TestRewritesMatchSurgery:
         moves = {branch: move for branch, move, _ in bijections._AUDITS[theorem][5].values()}
         met = set()
         for n in range(IDENTITY_START[theorem], 21):
-            for tr in bijections.all_traces(theorem, n):
+            for tr in audit_traces(theorem, n):
                 move = moves.get(tr.branch)  # None for T3's matching
                 if move is None:
-                    want = surgery_t3_odd(tr.input)
+                    want = reference_t3_odd(tr.input)
                 else:
-                    want = SURGERY_MOVES[move](tr.input, tr.input[-1][0])
+                    want = REFERENCE_MOVES[move](tr.input, tr.input[-1][0])
                 assert tr.output == want, (n, tr)
                 self._canonical(tr.output)
                 met |= {(tr.branch, case) for case in meeting_cases(tr, move)}
@@ -438,18 +449,19 @@ class TestRewritesMatchSurgery:
         for n in range(2, 21):
             for mu in family_elements(FamilySpec(PEX), n):
                 back = bijections._inv_t1(mu)
-                assert back == surgery_inv_t1(mu), mu
+                assert back == reference_inv_t1(mu), mu
                 self._canonical(back[0])
                 f4 += back[1] == SOURCE_N_MINUS_1 and mu[-1][1] > 0
         assert f4
 
     def test_lift_onto_an_overlined_copy_collides_as_surgery_does(self):
+        # both refuse a second overlined 3: the surgery on parts in the
+        # words of from_parts, the rewrite with the CollisionError text
         pi = parse("3o,2")
-        with pytest.raises(CollisionError) as surgery:
-            SURGERY_MOVES["lift"](pi, 2)
-        with pytest.raises(CollisionError) as rewrite:
+        with pytest.raises(OverpartitionError, match=r"^duplicate overlined copy of 3$"):
+            REFERENCE_MOVES["lift"](pi, 2)
+        with pytest.raises(CollisionError, match=r"^value 3 is already overlined$"):
             bijections._MOVES["lift"](pi, 2)
-        assert str(rewrite.value) == str(surgery.value) == "value 3 is already overlined"
 
 
 class TestAuditFailures:
@@ -520,7 +532,7 @@ class TestAuditFailures:
         def heavy(pi, source_tag, n):
             tr = real(pi, source_tag, n)
             if tr.branch == "f3":
-                return dataclasses.replace(tr, output=tr.output.add_plain(1))
+                return dataclasses.replace(tr, output=edit_parts(tr.output, add=[(1, False)]))
             return tr
 
         monkeypatch.setattr(bijections, "map_t1", heavy)
@@ -571,7 +583,7 @@ class TestAuditFailures:
     def test_t1_swapped_inverse_tag_problems_in_order(self, monkeypatch):
         # each trace's mismatch line is followed by its forward line
         expected = []
-        for tr in bijections.all_traces("T1", 8):
+        for tr in audit_traces("T1", 8):
             other = _OTHER_TAG[tr.source_tag]
             want = 8 + {SOURCE_N: 0, SOURCE_N_MINUS_1: -1}[other]
             expected += [
@@ -747,8 +759,8 @@ MUTATIONS = {
         "map_t2", lambda tr: dataclasses.replace(tr, output=tr.input)
         if tr.branch == "A" else tr)),
     "T1-f3-one-part-heavier": ("T1", "map_t1", lambda: _replacing(
-        "map_t1", lambda tr: dataclasses.replace(tr, output=tr.output.add_plain(1))
-        if tr.branch == "f3" else tr)),
+        "map_t1", lambda tr: dataclasses.replace(
+            tr, output=edit_parts(tr.output, add=[(1, False)])) if tr.branch == "f3" else tr)),
     "T4e-raises-on-7": ("T4e", "map_t4", lambda: _raising_on_seven),
     "T2-POEX-relabelled": ("T2", "map_t2", lambda: _replacing(
         "map_t2", lambda tr: dataclasses.replace(tr, target_tag="PE-copy1")
@@ -792,7 +804,7 @@ class TestCountCertifiedAudit:
     @staticmethod
     def _collide(monkeypatch, theorem, name, n, branch):
         # send the second trace of `branch` to the output of the first
-        first, second = [tr for tr in bijections.all_traces(theorem, n)
+        first, second = [tr for tr in audit_traces(theorem, n)
                          if tr.branch == branch][:2]
         monkeypatch.setattr(bijections, name, _replacing(
             name, lambda tr: dataclasses.replace(tr, output=first.output)

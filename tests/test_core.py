@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from overpart.core import (
     BEK, BOK, CE, CO, FAMILY_IDS, FAMILY_TABLE, INFINITY, PBAR, PE, PEX, POEX,
-    SPTK, SPTKO, CollisionError, FamilySpec, OverPartition, OverpartitionError,
+    SPTK, SPTKO, FamilySpec, OverPartition, OverpartitionError,
     ParseError, Signature, is_member, member, parse, parse_family_token,
     signature, stats, why_not_member,
 )
@@ -337,66 +337,6 @@ class TestMembership:
     def test_explanation_matches_predicate(self, pi, fam_key):
         fam = FamilySpec(*fam_key)
         assert (why_not_member(pi, fam) is None) == is_member(pi, fam)
-
-
-class TestSurgery:
-    def test_add_plain_merges(self):
-        assert parse("3,2").add_plain(3) == parse("3,3,2")
-        assert parse("3,2").remove_plain(2).add_plain(3) == parse("3,3")
-
-    def test_add_plain_inserts(self):
-        assert parse("4,1").add_plain(2) == parse("4,2,1")
-
-    def test_remove_plain_drops_entry(self):
-        assert parse("4,1").remove_plain(1) == parse("4")
-
-    def test_remove_plain_missing(self):
-        with pytest.raises(OverpartitionError):
-            parse("4o,1").remove_plain(4)
-
-    def test_overline_collision(self):
-        with pytest.raises(CollisionError):
-            parse("4o,1").add_overline(4)
-
-    def test_remove_overline(self):
-        assert parse("4o,4,1").remove_overline(4) == parse("4,1")
-
-    @pytest.mark.parametrize("move, value, error, message", [
-        ("add_plain", 0, OverpartitionError, "part value must be positive, got 0"),
-        ("add_overline", -1, OverpartitionError, "part value must be positive, got -1"),
-        ("add_overline", 4, CollisionError, "value 4 is already overlined"),
-        ("remove_plain", 4, OverpartitionError, "no plain copy of 4 to remove"),
-        ("remove_plain", 2, OverpartitionError, "no part of value 2"),
-        ("remove_overline", 1, OverpartitionError, "no overlined copy of 1 to remove"),
-        ("remove_overline", 2, OverpartitionError, "no part of value 2"),
-    ])
-    def test_error_texts(self, move, value, error, message):
-        with pytest.raises(OverpartitionError) as info:
-            getattr(parse("4o,1"), move)(value)
-        assert type(info.value) is error and str(info.value) == message
-
-    def test_added_values_must_be_integers(self):
-        for move in ("add_plain", "add_overline"):
-            with pytest.raises(TypeError):
-                getattr(parse("4o,1"), move)(2.0)
-
-    def test_trusted_results_match_validated_rebuild(self):
-        # every legal move on every overpartition of n <= 12: surgery skips
-        # revalidation, so each result must survive the validating
-        # constructor unchanged and hold only exact (int, int, int) tuples
-        for n in range(13):
-            for pi in overpartitions(n):
-                overlined = {v for v, _, o in pi if o}
-                results = [pi.add_plain(v) for v in range(1, n + 2)]
-                results += [pi.add_overline(v) for v in range(1, n + 2)
-                            if v not in overlined]
-                results += [pi.remove_plain(v) for v, p, _ in pi if p]
-                results += [pi.remove_overline(v) for v, _, o in pi if o]
-                for out in results:
-                    assert type(out) is OverPartition
-                    assert out == OverPartition(list(out)), (str(pi), str(out))
-                    assert all(type(e) is tuple and len(e) == 3
-                               and all(type(x) is int for x in e) for e in out)
 
 
 class TestFamilySpec:
