@@ -144,18 +144,25 @@ def print_digests(digests, title=None):
         print(f"{digest}  {group} ({n} runs)")
 
 
+def stdout_of(cmd):
+    """Stdout of a subprocess; exits with its stderr when it fails."""
+    done = subprocess.run(cmd, capture_output=True)
+    if done.returncode:
+        sys.exit(f"error: {' '.join(cmd)} exited {done.returncode}\n"
+                 + done.stderr.decode(errors="replace"))
+    return done.stdout
+
+
 def other_tree(src, *args):
     """Stdout of this script run on the source tree src in a subprocess."""
-    return subprocess.run([sys.executable, __file__, "--src", str(src), *args],
-                          capture_output=True, text=True, check=True).stdout
+    return stdout_of([sys.executable, __file__, "--src", str(src), *args]).decode()
 
 
 def extract(rev, dest):
     dest.mkdir(parents=True, exist_ok=True)
     if any(dest.iterdir()):
         sys.exit(f"error: {dest} is not empty")
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
-                         capture_output=True, check=True).stdout
+    tar = stdout_of(["git", "-C", str(ROOT), "archive", "--format=tar", rev])
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         # the data filter, where this Python has it, refuses links out of dest
         archive.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
