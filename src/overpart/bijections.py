@@ -53,27 +53,33 @@ audit engine checks every theorem from its row.  A component that is
 also a domain summand (T3's matching) must be hit by exactly that
 summand's unmapped elements.
 
-An audit lists only its domain.  Each image is checked as it is made:
-it lies inside its component when its weight and signature put it
-there, and is a stray otherwise.  Every component but T3's matching is
-onto when its distinct images inside it number its size, an exact
-count from the run-state memo of :mod:`overpart.enumeration`, and it
-has no stray.  T1's inverse is checked in the same pass: each trace's
-output is inverted once, as the trace is checked, and must give back
-its input and source.  A codomain is listed only when a failing T1
-audit must name the elements it missed.
+An audit lists only its domain.  Each domain element is checked
+against its summand from the signature that the walk listing it carried
+down to it, kept beside the listing, so its runs are not read again;
+outside input, through :func:`apply_map` or a public map called without
+``sig``, is checked in full, with the text naming a failed clause.
+Each image is checked as it is made: it lies inside its component when
+its weight and signature put it there, and is a stray otherwise.  Every
+component but T3's matching is onto when its distinct images inside it
+number its size, an exact count from the run-state memo of
+:mod:`overpart.enumeration`, and it has no stray.  T1's inverse is
+checked in the same pass: each trace's output is inverted once, as the
+trace is checked, and must give back its input and source.  A codomain
+is listed only when a failing T1 audit must name the elements it
+missed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     BEK, BOK, CE, CO, INFINITY, PE, PEX, POEX, SPTK, SPTKO, CollisionError, FamilySpec,
     OverPartition, Stats, _canonical, _weighed_signature, member, stats, why_not_member,
 )
-from .enumeration import IDENTITY_START, count_many, family_elements, identity_sides
+from .enumeration import IDENTITY_START, _listing, count_many, identity_sides
 
 __all__ = [
     "SOURCE_N", "SOURCE_N_MINUS_1", "SOURCE_N_MINUS_2",
@@ -161,13 +167,18 @@ _AUDITS = {
 }
 
 
+# the JSON key of each MapTrace field, in field order
+_JSON_KEYS = ("theorem", "sourceTag", "branch", "input", "output", "targetTag", "signFlip",
+              "ambiguousS2")
+
+
 class PreconditionError(ValueError):
     """A map was applied outside its domain."""
 
 
-@dataclass(frozen=True)
-class MapTrace:
-    """Record of one map application.
+class MapTrace(NamedTuple):
+    """Record of one map application, a named tuple: immutable and
+    hashable, with ``trace._replace(field=value)`` for a changed copy.
 
     ``source_tag`` names the domain summand the input came from,
     ``target_tag`` the codomain component the output landed in.
@@ -187,16 +198,10 @@ class MapTrace:
     ambiguous_s2: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "sourceTag": self.source_tag,
-            "branch": self.branch,
-            "input": self.input.to_text(),
-            "output": self.output.to_text(),
-            "targetTag": self.target_tag,
-            "signFlip": self.sign_flip,
-            **({"ambiguousS2": True} if self.ambiguous_s2 else {}),
-        }
+        # one key per field, in field order, with the overpartitions as
+        # literals; ambiguousS2 only when it is set
+        text = self._replace(input=self.input.to_text(), output=self.output.to_text())
+        return {key: v for key, v in zip(_JSON_KEYS, text) if v or key != "ambiguousS2"}
 
 
 @dataclass
@@ -233,10 +238,12 @@ class VerificationReport:
                 and self.domain_size == self.codomain_size)
 
 
-def _require(pi: OverPartition, fam: FamilySpec, weight: int, role: str) -> Stats:
+def _require(pi: OverPartition, fam: FamilySpec, weight: int, role: str, sig=None) -> Stats:
     # returns the Stats of pi when fam is spt1, spt1o, be1 or bo1: a member's
-    # last run is one plain copy of s, so they read off its runs and parity
-    got, sig = _weighed_signature(pi)
+    # last run is one plain copy of s, so they read off its runs and parity.
+    # sig is None for outside input, whose runs are read here; the audit
+    # passes the signature its walk of this weight carried down to pi
+    got, sig = _weighed_signature(pi) if sig is None else (weight, sig)
     if got != weight:
         raise PreconditionError(f"{role}: {pi} has weight {got}, expected {weight}")
     if not member(sig, fam):
@@ -251,12 +258,12 @@ def _flip(st_in: Stats, out: OverPartition, target_tag: str) -> bool:
     return sign is not None and st_in.sign_spt != getattr(stats(out), sign)
 
 
-def _labelled_map(theorem: str, pi: OverPartition, source_tag: str, n: int) -> MapTrace:
+def _labelled_map(theorem: str, pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
     # the moves of T1, T2, T3's even-s map and T4, labelled in _AUDITS
     fam, low, _, _, role, labels = _AUDITS[theorem]
     if source_tag not in (SOURCE_N, low):
         raise PreconditionError(f"{role} source must be N or {low}")
-    st = _require(pi, fam, n + _OFFSET[source_tag], f"{role} source {source_tag}")
+    st = _require(pi, fam, n + _OFFSET[source_tag], f"{role} source {source_tag}", sig)
     if source_tag == SOURCE_N_MINUS_1:  # T1's; s2 may be INFINITY
         case = "gap" if st.s2 - st.s > 1 else "adjacent"
     else:
@@ -270,10 +277,13 @@ def _labelled_map(theorem: str, pi: OverPartition, source_tag: str, n: int) -> M
     return MapTrace(theorem, source_tag, branch, pi, out, target, _flip(st, out, target))
 
 
-def map_t1(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
+def map_t1(pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
     """Weight-preserving map into pex(n) from spt1(n) (tag N) or
-    spt1(n-1) (tag N-1).  Branches f1..f4 as in the module docstring."""
-    return _labelled_map("T1", pi, source_tag, n)
+    spt1(n-1) (tag N-1).  Branches f1..f4 as in the module docstring.
+    Each forward map takes ``sig``, the signature of ``pi``, only from a
+    walk that listed ``pi`` at the source's weight; by default ``pi`` is
+    checked in full."""
+    return _labelled_map("T1", pi, source_tag, n, sig)
 
 
 def inv_t1(mu: OverPartition, n: int) -> tuple[OverPartition, str]:
@@ -300,13 +310,13 @@ def _inv_t1(mu: OverPartition) -> tuple[OverPartition, str]:
     return _canonical(mu[:-1] + ((m, p - 1, o), (m - 1, 1, 0))), SOURCE_N_MINUS_1
 
 
-def map_t2(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
+def map_t2(pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
     """Map into the tagged union pe(n-1) + pe(n-1) + poex(n-1) from
     spt1o(n) (tag N) or spt1o(n-2) (tag N-2)."""
-    return _labelled_map("T2", pi, source_tag, n)
+    return _labelled_map("T2", pi, source_tag, n, sig)
 
 
-def map_t3_odd(pi: OverPartition, n: int) -> MapTrace:
+def map_t3_odd(pi: OverPartition, n: int, sig=None) -> MapTrace:
     """Sign-reversing matching move for s=1 elements of spt1o(n).
 
     If the part immediately above the 1 has a plain copy, delete the 1
@@ -317,7 +327,7 @@ def map_t3_odd(pi: OverPartition, n: int) -> MapTrace:
     part.  When the s2 value carries both kinds of copy the plain one
     is lowered; the trace flags this with ``ambiguous_s2``.
     """
-    st = _require(pi, _SPT1O, n, "T3 matching source")
+    st = _require(pi, _SPT1O, n, "T3 matching source", sig)
     if st.s != 1:
         raise PreconditionError(
             f"T3 matching applies only when the smallest plain part is 1 (got {st.s})")
@@ -335,20 +345,20 @@ def map_t3_odd(pi: OverPartition, n: int) -> MapTrace:
                     plain >= 1 and over == 1)
 
 
-def map_t3_even(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
+def map_t3_even(pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
     """Sign-reversing map of even-s elements of spt1o(n) u spt1o(n-2)
     onto poex(n-1): the output's number-of-parts sign is opposite the
     input's parts-above-s sign."""
-    return _labelled_map("T3", pi, source_tag, n)
+    return _labelled_map("T3", pi, source_tag, n, sig)
 
 
-def map_t4(pi: OverPartition, source_tag: str, n: int, variant: str) -> MapTrace:
+def map_t4(pi: OverPartition, source_tag: str, n: int, variant: str, sig=None) -> MapTrace:
     """Map for the refined identities: variant "E" sends
     be1(n) u be1(n-2) into pe(n-1) u co(n-1); variant "O" mirrors it
     on bo1 with target ce(n-1)."""
     if variant not in ("E", "O"):
         raise PreconditionError("variant must be 'E' or 'O'")
-    return _labelled_map("T4" + variant.lower(), pi, source_tag, n)
+    return _labelled_map("T4" + variant.lower(), pi, source_tag, n, sig)
 
 
 def apply_map(theorem: str, pi: OverPartition, n: int,
@@ -373,23 +383,23 @@ def _audit_row(theorem: str, n: int):
     return _AUDITS[theorem][:4]
 
 
-def _audit_trace(theorem: str, pi: OverPartition, source_tag: str,
-                 n: int) -> MapTrace | None:
+def _audit_trace(theorem: str, pi: OverPartition, source_tag: str, n: int,
+                 sig=None) -> MapTrace | None:
     # the one router: each theorem's public map, and for T3 the matching
     # on the N summand's s=1 elements and the even-s map on every even-s
     # one; T3's other odd-s elements are the matching's image and get None.
     # T3 reads s from the last entry: 1 is the least value, so s = 1 is a
     # last value 1 with a plain copy, and a member ends in a plain copy of s
     if theorem in ("T1", "T2"):
-        return (map_t1 if theorem == "T1" else map_t2)(pi, source_tag, n)
+        return (map_t1 if theorem == "T1" else map_t2)(pi, source_tag, n, sig)
     if theorem in ("T4e", "T4o"):
-        return map_t4(pi, source_tag, n, theorem[-1].upper())
+        return map_t4(pi, source_tag, n, theorem[-1].upper(), sig)
     if theorem != "T3":
         raise PreconditionError(f"unknown map {theorem!r}")
     v, plain = pi[-1][:2] if pi else (1, 0)
     if v == 1 and plain and source_tag == SOURCE_N:
-        return map_t3_odd(pi, n)
-    return map_t3_even(pi, source_tag, n) if v % 2 == 0 else None
+        return map_t3_odd(pi, n, sig)
+    return map_t3_even(pi, source_tag, n, sig) if v % 2 == 0 else None
 
 
 def _check_t1_inverse(mu: OverPartition, n: int, inside: bool, want, late: list) -> None:
@@ -427,12 +437,12 @@ def _audit(theorem: str, n: int) -> VerificationReport:
     unmapped = {}  # (family, offset) of a summand -> elements left unmapped
     hits, strays = set(), set()  # distinct (tag, output) inside their component, and not
     for tag in (SOURCE_N, low):
-        elements = family_elements(fam, n + _OFFSET[tag])
+        elements, sigs = _listing(fam, n + _OFFSET[tag])
         report.blocks[f"domain:{tag}"] = len(elements)
         left = unmapped[fam, _OFFSET[tag]] = []
-        for pi in elements:
+        for pi, sig in zip(elements, sigs):
             try:
-                tr = _audit_trace(theorem, pi, tag, n)
+                tr = _audit_trace(theorem, pi, tag, n, sig)
             except Exception as exc:  # a broken map is reported, not raised
                 report.problems.append(f"{pi} [{tag}]: {exc}")
                 continue
@@ -470,7 +480,7 @@ def _audit(theorem: str, n: int) -> VerificationReport:
                    if outside else ""))
     if theorem == "T1" and report.blocks["image:PEX"] < report.blocks["codomain:PEX"]:
         hit = {out for _, out in hits | strays}
-        for mu in family_elements(_PEX, n):
+        for mu in _listing(_PEX, n)[0]:
             if mu not in hit:
                 _check_t1_inverse(mu, n, True, None, late)
     report.problems += late

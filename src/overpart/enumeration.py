@@ -21,7 +21,9 @@ after each run value it goes straight to the next value that starts a
 member.  At a leaf each head variant is tested with the signature the
 walk carried down.  ``overpartitions`` is the walk of the PBAR family,
 whose every subtree holds a member.  Only the 32 most recently used
-family listings are kept.
+family listings are kept, each with the signature the walk carried
+down to every element beside it, so a caller that selected the
+elements by signature need not read their runs again.
 
 Counting lists nothing (Andrews, "The number of smallest parts in the
 partitions of n", 2008; Corteel and Lovejoy, "Overpartitions", 2004).
@@ -160,12 +162,22 @@ def overpartitions(n: int) -> Iterator[OverPartition]:
     return (_canonical(runs) for runs, _ in _runs(_weight(n), n))
 
 
-@lru_cache(maxsize=32)
 def family_elements(fam: FamilySpec, n: int) -> tuple[OverPartition, ...]:
     """Family members at weight ``n``, in enumeration order, from one
     walk that skips every subtree holding no member; the 32 most
     recently used listings are memoized."""
-    return tuple(_canonical(runs) for runs, _ in _runs(_weight(n), n, fam))
+    return _listing(fam, n)[0]
+
+
+@lru_cache(maxsize=32)
+def _listing(fam: FamilySpec, n: int) -> tuple[tuple[OverPartition, ...], tuple[Signature, ...]]:
+    # family_elements(fam, n), and beside it the signature the walk carried
+    # down to each element, in the same order
+    elements, sigs = [], []
+    for runs, sig in _runs(_weight(n), n, fam):
+        elements.append(_canonical(runs))
+        sigs.append(sig)
+    return tuple(elements), tuple(sigs)
 
 
 def _sums(m: int, s: int) -> list[int]:

@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import tracemalloc
 
 import pytest
@@ -266,6 +266,26 @@ class TestTrace:
         d = map_t3_odd(parse("4,2o,2,1"), 9).to_json_dict()
         assert d["ambiguousS2"] is True
 
+    def test_json_keys_in_field_order(self):
+        # map --format json prints these bytes: one key per field, in field
+        # order, ambiguousS2 only when set and signFlip also when false
+        assert json.dumps(map_t3_odd(parse("4,2o,2,1"), 9).to_json_dict()) == (
+            '{"theorem": "T3", "sourceTag": "N", "branch": "odd-plain", "input": "4,2o,2,1", '
+            '"output": "4,2o,1", "targetTag": "SPT1O-N-2", "signFlip": true, "ambiguousS2": true}')
+        assert json.dumps(map_t1(parse("5"), SOURCE_N_MINUS_1, 6).to_json_dict()) == (
+            '{"theorem": "T1", "sourceTag": "N-1", "branch": "f3", "input": "5", '
+            '"output": "6o", "targetTag": "PEX", "signFlip": false}')
+
+    def test_trace_is_a_named_tuple(self):
+        # immutable and hashable; _replace makes a changed copy
+        tr = map_t2(parse("5,2"), SOURCE_N, 7)
+        assert tr._fields == ("theorem", "source_tag", "branch", "input", "output",
+                              "target_tag", "sign_flip", "ambiguous_s2")
+        assert tr.ambiguous_s2 is False and hash(tr) == hash(tuple(tr))
+        assert tr._replace(sign_flip=False).sign_flip is False and tr.sign_flip is True
+        with pytest.raises(AttributeError):
+            tr.branch = "C"
+
 
 class TestAudits:
     def test_t1_at_6(self):
@@ -470,10 +490,10 @@ class TestAuditFailures:
     def test_wrong_output_names_the_component(self, monkeypatch):
         real = bijections.map_t2
 
-        def wrong(pi, source_tag, n):
-            tr = real(pi, source_tag, n)
+        def wrong(pi, source_tag, n, *rest):
+            tr = real(pi, source_tag, n, *rest)
             if tr.branch == "A":
-                return dataclasses.replace(tr, output=tr.input)
+                return tr._replace(output=tr.input)
             return tr
 
         monkeypatch.setattr(bijections, "map_t2", wrong)
@@ -487,8 +507,8 @@ class TestAuditFailures:
     def test_missing_sign_flip_is_a_violation(self, monkeypatch):
         real = bijections.map_t3_even
 
-        def unsigned(pi, source_tag, n):
-            return dataclasses.replace(real(pi, source_tag, n), sign_flip=False)
+        def unsigned(pi, source_tag, n, *rest):
+            return real(pi, source_tag, n, *rest)._replace(sign_flip=False)
 
         monkeypatch.setattr(bijections, "map_t3_even", unsigned)
         r = verify_t3(9)
@@ -500,10 +520,10 @@ class TestAuditFailures:
     def test_raising_map_is_reported(self, monkeypatch):
         real = bijections.map_t4
 
-        def fails_on_seven(pi, source_tag, n, variant):
+        def fails_on_seven(pi, source_tag, n, variant, *rest):
             if str(pi) == "7":
                 raise PreconditionError("broken")
-            return real(pi, source_tag, n, variant)
+            return real(pi, source_tag, n, variant, *rest)
 
         monkeypatch.setattr(bijections, "map_t4", fails_on_seven)
         r = verify_bijection("T4e", 9)
@@ -514,10 +534,10 @@ class TestAuditFailures:
     def test_image_block_counts_only_the_component(self, monkeypatch):
         real = bijections.map_t2
 
-        def wrong(pi, source_tag, n):
-            tr = real(pi, source_tag, n)
+        def wrong(pi, source_tag, n, *rest):
+            tr = real(pi, source_tag, n, *rest)
             if tr.branch == "A":
-                return dataclasses.replace(tr, output=tr.input)
+                return tr._replace(output=tr.input)
             return tr
 
         monkeypatch.setattr(bijections, "map_t2", wrong)
@@ -529,10 +549,10 @@ class TestAuditFailures:
     def test_t1_images_outside_pex_are_reported(self, monkeypatch):
         real = bijections.map_t1
 
-        def heavy(pi, source_tag, n):
-            tr = real(pi, source_tag, n)
+        def heavy(pi, source_tag, n, *rest):
+            tr = real(pi, source_tag, n, *rest)
             if tr.branch == "f3":
-                return dataclasses.replace(tr, output=edit_parts(tr.output, add=[(1, False)]))
+                return tr._replace(output=edit_parts(tr.output, add=[(1, False)]))
             return tr
 
         monkeypatch.setattr(bijections, "map_t1", heavy)
@@ -628,7 +648,7 @@ class TestAuditMemory:
 
     def test_audit_sweep_to_20_stays_under_bound(self):
         enumeration._first_value.cache_clear()
-        enumeration.family_elements.cache_clear()
+        enumeration._listing.cache_clear()
         enumeration._token_counts.cache_clear()
         tracemalloc.start()
         try:
@@ -642,6 +662,58 @@ class TestAuditMemory:
         finally:
             tracemalloc.stop()
         assert peak < self.PEAK_MIB * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+class TestHotPath:
+    # an audit checks each domain element from the signature the walk that
+    # listed it carried down, so only images and outside input are read run
+    # by run
+
+    @pytest.mark.parametrize("n", [12, 13])
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4e", "T4o"])
+    def test_audit_reads_the_runs_of_its_images_only(self, monkeypatch, theorem, n):
+        # once per image, in trace order; T1's f1 image is its input itself,
+        # so the other theorems also show that no listed object is read.
+        # T3's matching and T4o's images are empty at even n
+        real, seen = bijections._weighed_signature, []
+
+        def counted(entries):
+            seen.append(entries)
+            return real(entries)
+
+        monkeypatch.setattr(bijections, "_weighed_signature", counted)
+        r = verify_t3(n) if theorem == "T3" else verify_bijection(theorem, n)
+        assert r.ok
+        assert seen == [tr.output for tr in r.traces]
+        if theorem != "T1":
+            fam, low = bijections._AUDITS[theorem][:2]
+            listed = {id(pi) for tag in (SOURCE_N, low)
+                      for pi in family_elements(fam, n + bijections._OFFSET[tag])}
+            assert not any(id(entries) in listed for entries in seen)
+
+    @pytest.mark.parametrize("name, args, text", [
+        ("map_t2", (parse("4,2"), SOURCE_N, 6), "T2 source N: 4,2 is not in spt1o(6): "
+         "part 4 has the same parity as the smallest plain part 2"),
+        ("map_t2", (parse("5,1"), SOURCE_N, 7), "T2 source N: 5,1 has weight 6, expected 7"),
+        ("map_t2", (parse("3,1"), SOURCE_N_MINUS_2, 5),
+         "T2 source N-2: 3,1 has weight 4, expected 3"),
+        ("map_t3_odd", (parse("3,3,1"), 7), "T3 matching source: 3,3,1 is not in spt1o(7): "
+         "part 3 has the same parity as the smallest plain part 1"),
+        ("map_t3_odd", (parse("4,1"), 6), "T3 matching source: 4,1 has weight 5, expected 6"),
+        ("apply_map", ("T2", parse("2,2,2"), 6), "T2 source N: 2,2,2 is not in spt1o(6): "
+         "smallest plain part 2 appears 3 time(s); must appear exactly 1"),
+        ("apply_map", ("T3", parse("4,1"), 6), "T3 matching source: 4,1 has weight 5, expected 6"),
+        ("apply_map", ("T1", parse("2,2,1,1"), 6), "T1 source N: 2,2,1,1 is not in spt1(6): "
+         "smallest plain part 1 appears 2 time(s); must appear exactly 1"),
+        ("apply_map", ("T4e", parse("4,3,1"), 8), "T4e source N: 4,3,1 is not in be1(8): "
+         "part 3 has the same parity as the smallest plain part 1"),
+    ])
+    def test_outside_input_is_checked_in_full(self, name, args, text):
+        # no signature: weight and membership are read from the runs, and
+        # the error names the failed clause
+        with pytest.raises(PreconditionError) as info:
+            getattr(bijections, name)(*args)
+        assert str(info.value) == text
 
 
 def reference_audit(theorem, n):
@@ -756,17 +828,17 @@ _OTHER_TAG = {SOURCE_N: SOURCE_N_MINUS_1, SOURCE_N_MINUS_1: SOURCE_N}
 # a missing sign flip and a swapped inverse tag
 MUTATIONS = {
     "T2-branch-A-keeps-input": ("T2", "map_t2", lambda: _replacing(
-        "map_t2", lambda tr: dataclasses.replace(tr, output=tr.input)
+        "map_t2", lambda tr: tr._replace(output=tr.input)
         if tr.branch == "A" else tr)),
     "T1-f3-one-part-heavier": ("T1", "map_t1", lambda: _replacing(
-        "map_t1", lambda tr: dataclasses.replace(
-            tr, output=edit_parts(tr.output, add=[(1, False)])) if tr.branch == "f3" else tr)),
+        "map_t1", lambda tr: tr._replace(
+            output=edit_parts(tr.output, add=[(1, False)])) if tr.branch == "f3" else tr)),
     "T4e-raises-on-7": ("T4e", "map_t4", lambda: _raising_on_seven),
     "T2-POEX-relabelled": ("T2", "map_t2", lambda: _replacing(
-        "map_t2", lambda tr: dataclasses.replace(tr, target_tag="PE-copy1")
+        "map_t2", lambda tr: tr._replace(target_tag="PE-copy1")
         if tr.target_tag == "POEX" else tr)),
     "T3-unsigned": ("T3", "map_t3_even", lambda: _replacing(
-        "map_t3_even", lambda tr: dataclasses.replace(tr, sign_flip=False))),
+        "map_t3_even", lambda tr: tr._replace(sign_flip=False))),
     "T1-inverse-tag-swapped": ("T1", "_inv_t1", lambda: _replacing(
         "_inv_t1", lambda back: (back[0], _OTHER_TAG[back[1]]))),
 }
@@ -795,9 +867,9 @@ class TestCountCertifiedAudit:
 
         def spy(fam, n):
             listed.append(fam.token)
-            return family_elements(fam, n)
+            return enumeration._listing(fam, n)
 
-        monkeypatch.setattr(bijections, "family_elements", spy)
+        monkeypatch.setattr(bijections, "_listing", spy)
         assert (verify_t3(12) if theorem == "T3" else verify_bijection(theorem, 12)).ok
         assert set(listed) == {domain}
 
@@ -807,7 +879,7 @@ class TestCountCertifiedAudit:
         first, second = [tr for tr in audit_traces(theorem, n)
                          if tr.branch == branch][:2]
         monkeypatch.setattr(bijections, name, _replacing(
-            name, lambda tr: dataclasses.replace(tr, output=first.output)
+            name, lambda tr: tr._replace(output=first.output)
             if (tr.input, tr.source_tag) == (second.input, second.source_tag) else tr))
         return first, second
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import time
@@ -330,10 +329,10 @@ class TestCheckBijection:
         # a map that sends the POEX branches to the wrong component
         real = bijections.map_t2
 
-        def wrong(pi, source_tag, n):
-            tr = real(pi, source_tag, n)
+        def wrong(pi, source_tag, n, *rest):
+            tr = real(pi, source_tag, n, *rest)
             if tr.target_tag == "POEX":
-                return dataclasses.replace(tr, target_tag="PE-copy1")
+                return tr._replace(target_tag="PE-copy1")
             return tr
 
         monkeypatch.setattr(bijections, "map_t2", wrong)
@@ -354,10 +353,10 @@ class TestCheckBijection:
         # f3 images one part heavier leave pex(8), so inv_t1 rejects them
         real = bijections.map_t1
 
-        def heavy(pi, source_tag, n):
-            tr = real(pi, source_tag, n)
+        def heavy(pi, source_tag, n, *rest):
+            tr = real(pi, source_tag, n, *rest)
             if tr.branch == "f3":
-                return dataclasses.replace(tr, output=edit_parts(tr.output, add=[(1, False)]))
+                return tr._replace(output=edit_parts(tr.output, add=[(1, False)]))
             return tr
 
         monkeypatch.setattr(bijections, "map_t1", heavy)

@@ -459,13 +459,24 @@ class TestCacheLayout:
         # each family's pruned walk yields its members' runs beside the
         # signature it carried down to them, and the cached listing holds
         # those runs in the same order
-        enumeration.family_elements.cache_clear()
+        enumeration._listing.cache_clear()
         assert len(family_elements(FamilySpec(PBAR), n)) == PBAR_0_14[n]
         for fam in FAMILIES:
             walked = list(enumeration._runs(n, n, fam))
             assert all(sig == signature(runs) for runs, sig in walked), fam
             assert family_elements(fam, n) == tuple(runs for runs, _ in walked), fam
-        assert family_elements.cache_info().currsize == len(FAMILIES)
+        assert enumeration._listing.cache_info().currsize == len(FAMILIES)
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_listing_keeps_the_signature_of_each_element(self, n):
+        # the bijection audits check a domain element from the signature
+        # kept beside it in the listing, so for every family that signature
+        # is the one read from the element's runs, element by element; the
+        # elements are family_elements' own tuple, not a copy
+        for fam in FAMILIES:
+            elements, sigs = enumeration._listing(fam, n)
+            assert elements is family_elements(fam, n)
+            assert list(sigs) == [signature(pi) for pi in elements], fam
 
 
 class TestFamilyWalk:
@@ -496,7 +507,7 @@ class TestFamilyWalk:
         # did; the value is the first value of the first member below the
         # state, 0 for a subtree that holds none
         enumeration._first_value.cache_clear()
-        family_elements.cache_clear()
+        enumeration._listing.cache_clear()
         family_elements(FamilySpec(SPTKO, 1), 20)
         assert enumeration._first_value.cache_info().currsize == 476
         assert enumeration._first_value("SPTKO", 1, 20, 20, 0) == 20
