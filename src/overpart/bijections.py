@@ -59,7 +59,11 @@ down to it, kept beside the listing, so its runs are not read again;
 outside input, through :func:`apply_map` or a public map called without
 ``sig``, is checked in full, with the text naming a failed clause.
 Each image is checked as it is made: it lies inside its component when
-its weight and signature put it there, and is a stray otherwise.  Every
+its weight and signature put it there, and is a stray otherwise.  The
+audit keeps one set of distinct outputs per component tag, for the
+images inside and for the strays, and is injective when they number its
+traces: the codomain is a tagged union, so one output hit under two
+tags is two images, and one hit twice under a tag breaks it.  Every
 component but T3's matching is onto when its distinct images inside it
 number its size, an exact count from the run-state memo of
 :mod:`overpart.enumeration`, and it has no stray.  T1's inverse is
@@ -71,8 +75,7 @@ missed.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import defaultdict
 from typing import NamedTuple
 
 from .core import (
@@ -204,7 +207,6 @@ class MapTrace(NamedTuple):
         return {key: v for key, v in zip(_JSON_KEYS, text) if v or key != "ambiguousS2"}
 
 
-@dataclass
 class VerificationReport:
     """Outcome of an exhaustive audit at one weight.
 
@@ -217,19 +219,20 @@ class VerificationReport:
     elements left unmapped), so ``codomain_size`` is counted, not
     listed.  ``traces`` holds every map application the audit made, in
     domain enumeration order; a map that raised has no trace, and is
-    reported in ``problems``.
+    reported in ``problems``.  The four collections may be given by
+    position or keyword; each one left out starts empty, and is the
+    instance's own.  A plain class: reports compare by identity.
     """
 
-    theorem: str
-    n: int
-    domain_size: int
-    codomain_size: int
-    injective: bool
-    surjective: bool
-    contract_violations: list[MapTrace] = field(default_factory=list)
-    problems: list[str] = field(default_factory=list)
-    blocks: dict[str, int] = field(default_factory=dict)
-    traces: list[MapTrace] = field(default_factory=list, repr=False, compare=False)
+    def __init__(self, theorem: str, n: int, domain_size: int, codomain_size: int,
+                 injective: bool, surjective: bool, contract_violations=None, problems=None,
+                 blocks=None, traces=None):
+        self.theorem, self.n, self.injective, self.surjective = theorem, n, injective, surjective
+        self.domain_size, self.codomain_size = domain_size, codomain_size
+        self.contract_violations = [] if contract_violations is None else contract_violations
+        self.problems = [] if problems is None else problems
+        self.blocks = {} if blocks is None else blocks
+        self.traces = [] if traces is None else traces
 
     @property
     def ok(self) -> bool:
@@ -238,17 +241,18 @@ class VerificationReport:
                 and self.domain_size == self.codomain_size)
 
 
-def _require(pi: OverPartition, fam: FamilySpec, weight: int, role: str, sig=None) -> Stats:
+def _require(pi: OverPartition, fam: FamilySpec, weight: int, sig, *role: str) -> Stats:
     # returns the Stats of pi when fam is spt1, spt1o, be1 or bo1: a member's
     # last run is one plain copy of s, so they read off its runs and parity.
     # sig is None for outside input, whose runs are read here; the audit
-    # passes the signature its walk of this weight carried down to pi
+    # passes the signature its walk of this weight carried down to pi.  The
+    # words of role, which names the caller, are joined only for a failure
     got, sig = _weighed_signature(pi) if sig is None else (weight, sig)
     if got != weight:
-        raise PreconditionError(f"{role}: {pi} has weight {got}, expected {weight}")
+        raise PreconditionError(f"{' '.join(role)}: {pi} has weight {got}, expected {weight}")
     if not member(sig, fam):
-        raise PreconditionError(
-            f"{role}: {pi} is not in {fam.token}({weight}): {why_not_member(pi, fam)}")
+        raise PreconditionError(f"{' '.join(role)}: {pi} is not in {fam.token}({weight}): "
+                                f"{why_not_member(pi, fam)}")
     sign = -1 if sig.parity else 1
     return Stats(pi[-1][0], pi[-2][0] if len(pi) > 1 else INFINITY, -sign, sign)
 
@@ -263,7 +267,7 @@ def _labelled_map(theorem: str, pi: OverPartition, source_tag: str, n: int, sig=
     fam, low, _, _, role, labels = _AUDITS[theorem]
     if source_tag not in (SOURCE_N, low):
         raise PreconditionError(f"{role} source must be N or {low}")
-    st = _require(pi, fam, n + _OFFSET[source_tag], f"{role} source {source_tag}", sig)
+    st = _require(pi, fam, n + _OFFSET[source_tag], sig, role, "source", source_tag)
     if source_tag == SOURCE_N_MINUS_1:  # T1's; s2 may be INFINITY
         case = "gap" if st.s2 - st.s > 1 else "adjacent"
     else:
@@ -292,7 +296,7 @@ def inv_t1(mu: OverPartition, n: int) -> tuple[OverPartition, str]:
     f3, a single plain copy is an f1 image, anything else undoes f4."""
     if n < 2:
         raise PreconditionError("inverse defined for n > 1")
-    _require(mu, _PEX, n, "T1 inverse")
+    _require(mu, _PEX, n, None, "T1 inverse")
     return _inv_t1(mu)
 
 
@@ -327,7 +331,7 @@ def map_t3_odd(pi: OverPartition, n: int, sig=None) -> MapTrace:
     part.  When the s2 value carries both kinds of copy the plain one
     is lowered; the trace flags this with ``ambiguous_s2``.
     """
-    st = _require(pi, _SPT1O, n, "T3 matching source", sig)
+    st = _require(pi, _SPT1O, n, sig, "T3 matching source")
     if st.s != 1:
         raise PreconditionError(
             f"T3 matching applies only when the smallest plain part is 1 (got {st.s})")
@@ -435,7 +439,9 @@ def _audit(theorem: str, n: int) -> VerificationReport:
     targets = {tag: _TARGETS[tag] for tag in components}
     report, late = VerificationReport(theorem, n, 0, 0, True, True), []
     unmapped = {}  # (family, offset) of a summand -> elements left unmapped
-    hits, strays = set(), set()  # distinct (tag, output) inside their component, and not
+    # tag -> the distinct outputs inside its component, and those outside
+    # it, which only a broken map makes: one set per tag, so no pair is kept
+    hits, strays = defaultdict(set), defaultdict(set)
     for tag in (SOURCE_N, low):
         elements, sigs = _listing(fam, n + _OFFSET[tag])
         report.blocks[f"domain:{tag}"] = len(elements)
@@ -455,19 +461,19 @@ def _audit(theorem: str, n: int) -> VerificationReport:
             inside = target is not None and weight == n + target[1] and member(sig, target[0])
             if not inside or flips and not tr.sign_flip:
                 report.contract_violations.append(tr)
-            (hits if inside else strays).add((tr.target_tag, tr.output))
+            (hits if inside else strays)[tr.target_tag].add(tr.output)
             if theorem == "T1":
                 _check_t1_inverse(tr.output, n, inside, (tr.input, tr.source_tag), late)
         report.domain_size += len(elements) - len(left)
-    report.injective = len(hits) + len(strays) == len(report.traces) and not report.problems
-    counted = Counter(tag for tag, _ in hits)
+    images = [*hits.values(), *strays.values()]  # distinct per tag, as the codomain is tagged
+    report.injective = sum(map(len, images)) == len(report.traces) and not report.problems
     for comp, (comp_fam, offset, _) in targets.items():
         left = unmapped.get((comp_fam, offset))
         if left is None:  # onto when its distinct images inside number its size
             (size,) = count_many(n + offset, [(comp_fam, False)])
-            matched, outside = counted[comp], sorted(str(o) for t, o in strays if t == comp)
+            matched, outside = len(hits[comp]), sorted(map(str, strays[comp]))
         else:  # T3's matching: onto the elements that summand left unmapped
-            hit, want = {out for tag, out in hits | strays if tag == comp}, set(left)
+            hit, want = hits[comp] | strays[comp], set(left)
             size, matched, outside = len(want), len(hit & want), sorted(map(str, hit - want))
         report.blocks[f"image:{comp}"] = matched
         report.blocks[f"codomain:{comp}"] = size
@@ -479,7 +485,7 @@ def _audit(theorem: str, n: int) -> VerificationReport:
                 + (f"; {len(outside)} images outside it, e.g. {'; '.join(outside[:3])}"
                    if outside else ""))
     if theorem == "T1" and report.blocks["image:PEX"] < report.blocks["codomain:PEX"]:
-        hit = {out for _, out in hits | strays}
+        hit = set().union(*images)
         for mu in _listing(_PEX, n)[0]:
             if mu not in hit:
                 _check_t1_inverse(mu, n, True, None, late)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 from typing import Callable, Iterator, NamedTuple
@@ -228,19 +227,25 @@ def stats(pi: OverPartition) -> Stats:
     return Stats(pi[s_idx][0], s2, -1 if above & 1 else 1, sign_parts)
 
 
-@dataclass(frozen=True, slots=True)
-class FamilySpec:
+class FamilySpec(NamedTuple("FamilySpec", [("id", str), ("k", int)])):
     """One of the ten families, with the multiplicity parameter ``k``
-    (only meaningful for SPTK, SPTKO, BEK, BOK)."""
+    (only meaningful for SPTK, SPTKO, BEK, BOK).
 
-    id: str
-    k: int = 1
+    A named tuple: immutable, equal to and hashed as the plain tuple
+    ``(id, k)``, so it unpacks and keys a cache at C speed.  A
+    ``NamedTuple`` class body may not override ``__new__``, so the
+    fields are declared in the base and this subclass validates them;
+    ``_replace`` and ``_make`` do not validate.
+    """
 
-    def __post_init__(self):
-        if self.id not in FAMILY_IDS:
-            raise ValueError(f"unknown family id {self.id!r}")
-        if self.k < 1:
+    __slots__ = ()
+
+    def __new__(cls, id: str, k: int = 1):
+        if id not in FAMILY_IDS:
+            raise ValueError(f"unknown family id {id!r}")
+        if k < 1:
             raise ValueError("k must be a positive integer")
+        return tuple.__new__(cls, (id, k))
 
     @property
     def token(self) -> str:

@@ -129,22 +129,20 @@ def _runs(remaining: int, cap: int, fam: FamilySpec = _PBAR, state: int = 0):
                 for over, head in enumerate((head_plain, head_over)):
                     if member(sig := _signatures(v & 1, v == 1, total, over)[state], fam):
                         yield (head,), sig
-            elif _first_value(fam.id, fam.k, rest, min(v - 1, rest), below):
+            elif _first_value(fam, rest, min(v - 1, rest), below):
                 for tail, sig in _runs(rest, v - 1, fam, below):
                     yield (head_plain,) + tail, sig
                     yield (head_over,) + tail, sig
-        v = _first_value(fam.id, fam.k, remaining, v - 1, state)
+        v = _first_value(fam, remaining, v - 1, state)
 
 
-# keyed by the spec's fields, since a FamilySpec hashes in Python, and by
-# the run-state index
 @lru_cache(maxsize=None)
-def _first_value(fid: str, k: int, remaining: int, cap: int, state: int) -> int:
-    # the largest value of a first run in the walk of this state by family
-    # (fid, k), 0 when it yields none: the walk stops at its first member.
-    # Callers pass cap <= remaining, since a larger cap acts as remaining,
-    # so each state has one key
-    first = next(_runs(remaining, cap, FamilySpec(fid, k), state), None)
+def _first_value(fam: FamilySpec, remaining: int, cap: int, state: int) -> int:
+    # the largest value of a first run in the walk of this state by fam, 0
+    # when it yields none: the walk stops at its first member.  Callers
+    # pass cap <= remaining, since a larger cap acts as remaining, so each
+    # state has one key
+    first = next(_runs(remaining, cap, fam, state), None)
     return first[0][0][0] if first else 0
 
 

@@ -50,11 +50,11 @@ k above K_COLUMNS takes the part factors out one by one:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import isqrt
 from operator import add, sub
+from typing import NamedTuple
 
 from .core import (
     BEK, BOK, CE, CO, PBAR, PE, PEX, POEX, SIGNED_REFINEMENTS, SPTKO, FamilySpec,
@@ -69,18 +69,21 @@ __all__ = ["Series", "family_series", "cross_check"]
 K_COLUMNS = 4
 
 
-@dataclass(frozen=True)
-class Series:
-    """Integer coefficients of q^0 .. q^order of a generating series."""
+class Series(NamedTuple("Series", [("order", int), ("coeffs", tuple[int, ...])])):
+    """Integer coefficients of q^0 .. q^order of a generating series.
 
-    order: int
-    coeffs: tuple[int, ...]
+    A named tuple, equal to and hashed as the plain tuple ``(order,
+    coeffs)``, whose fields are declared in the base class and validated
+    by this subclass, as for :class:`~overpart.core.FamilySpec`."""
 
-    def __post_init__(self):
-        if self.order < 1:
+    __slots__ = ()
+
+    def __new__(cls, order: int, coeffs: tuple[int, ...]):
+        if order < 1:
             raise ValueError("order must be >= 1")
-        if len(self.coeffs) != self.order + 1:
+        if len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
+        return tuple.__new__(cls, (order, coeffs))
 
     def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.order:

@@ -10,7 +10,7 @@ from overpart.core import (
 )
 from overpart.bijections import (
     SOURCE_N, SOURCE_N_MINUS_1, SOURCE_N_MINUS_2,
-    PreconditionError, apply_map, inv_t1, map_t1, map_t2, map_t3_even,
+    PreconditionError, VerificationReport, apply_map, inv_t1, map_t1, map_t2, map_t3_even,
     map_t3_odd, map_t4, verify_bijection, verify_t3,
 )
 from overpart.enumeration import IDENTITY_START, family_elements, identity_sides, overpartitions
@@ -285,6 +285,36 @@ class TestTrace:
         assert tr._replace(sign_flip=False).sign_flip is False and tr.sign_flip is True
         with pytest.raises(AttributeError):
             tr.branch = "C"
+
+
+class TestReport:
+    FIELDS = ("theorem", "n", "domain_size", "codomain_size", "injective", "surjective",
+              "contract_violations", "problems", "blocks", "traces")
+
+    def test_built_by_position_and_by_keyword(self):
+        tr = map_t2(parse("5,2"), SOURCE_N, 7)
+        values = ("T2", 7, 1, 1, True, True, [tr], ["late"], {"domain:N": 1}, [tr])
+        for r in (VerificationReport(*values),
+                  VerificationReport(**dict(zip(self.FIELDS, values))),
+                  VerificationReport(*values[:6], problems=["late"], traces=values[9],
+                                     blocks=values[8], contract_violations=values[6])):
+            assert tuple(getattr(r, name) for name in self.FIELDS) == values
+            # a collection passed in is kept, not copied
+            assert r.traces is values[9] and r.blocks is values[8]
+            assert not r.ok
+        with pytest.raises(TypeError):
+            VerificationReport("T2", 7, 1, 1, True)
+
+    def test_collections_left_out_start_empty_and_unshared(self):
+        a, b = (VerificationReport("T1", 6, 0, 0, True, True) for _ in range(2))
+        for name in self.FIELDS[6:]:
+            assert getattr(a, name) == getattr(b, name) == ({} if name == "blocks" else [])
+            assert getattr(a, name) is not getattr(b, name)
+        a.problems.append("broken")
+        a.traces.append(map_t1(parse("6"), SOURCE_N, 6))
+        a.blocks["image:PEX"] = 1
+        assert (b.problems, b.traces, b.blocks) == ([], [], {})
+        assert b.ok and not a.ok
 
 
 class TestAudits:
@@ -902,3 +932,51 @@ class TestCountCertifiedAudit:
         # the element the map now misses is named through its inverse
         assert f"forward(inverse({second.output})) != {second.output}" in r.problems
         assert audited("T1", 8) == reference_audit("T1", 8)
+
+
+class TestImageSets:
+    # the audit keeps one set of distinct outputs per component tag: the
+    # codomain is a tagged union, so an output counts once under each tag
+    # that hits it, as (tag, output) pairs did
+
+    def test_one_output_under_two_tags_is_two_images(self):
+        # T2's two copies of pe(n-1) are hit by the same outputs, each once
+        r = verify_bijection("T2", 7)
+        by_tag = {tag: [tr.output for tr in r.traces if tr.target_tag == tag]
+                  for tag in ("PE-copy1", "PE-copy2")}
+        assert sorted(by_tag["PE-copy1"]) == sorted(by_tag["PE-copy2"])
+        assert len(set(by_tag["PE-copy1"])) == len(by_tag["PE-copy1"]) == 8
+        assert len({tr.output for tr in r.traces}) < len(r.traces)
+        assert r.injective and r.ok
+        assert r.blocks["image:PE-copy1"] == r.blocks["image:PE-copy2"] == 8
+
+    def test_one_output_twice_under_one_tag_breaks_injectivity(self, monkeypatch):
+        # retag one copy-2 trace as copy 1: its output, which branch A also
+        # makes, is now hit twice under PE-copy1 and not at all under
+        # PE-copy2; it stays inside pe(6), so no contract breaks
+        victim = next(tr for tr in audit_traces("T2", 7) if tr.target_tag == "PE-copy2")
+        monkeypatch.setattr(bijections, "map_t2", _replacing(
+            "map_t2", lambda tr: tr._replace(target_tag="PE-copy1") if tr == victim else tr))
+        r = verify_bijection("T2", 7)
+        assert not r.injective and not r.surjective and not r.ok
+        assert not r.contract_violations
+        assert r.problems == ["component PE-copy2: hit 7 of 8 elements"]
+        assert (r.blocks["image:PE-copy1"], r.blocks["image:PE-copy2"]) == (8, 7)
+        assert audited("T2", 7) == reference_audit("T2", 7)
+
+    def test_strays_count_per_tag(self, monkeypatch):
+        # two inputs sent to one output outside every component, under two
+        # tags: two distinct images, so the audit stays injective but not onto
+        first, second = [tr for tr in audit_traces("T2", 7) if tr.branch == "A"][:2]
+        stray = first.input  # weight 7, so outside pe(6)
+        monkeypatch.setattr(bijections, "map_t2", _replacing(
+            "map_t2", lambda tr: tr._replace(output=stray, target_tag="PE-copy2")
+            if tr == second else tr._replace(output=stray) if tr == first else tr))
+        r = verify_bijection("T2", 7)
+        assert r.injective and not r.surjective
+        assert len(r.contract_violations) == 2
+        assert f"component PE-copy1: hit 6 of 8 elements; 1 images outside it, e.g. {stray}" \
+            in r.problems
+        assert f"component PE-copy2: hit 8 of 8 elements; 1 images outside it, e.g. {stray}" \
+            in r.problems
+        assert audited("T2", 7) == reference_audit("T2", 7)

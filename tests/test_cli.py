@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import overpart
 import overpart.bijections as bijections
 import overpart.cli as cli
 import overpart.enumeration as enumeration
@@ -645,6 +649,20 @@ OUT_SHAPES = [
     ("series", "pbar", "--order", "10"),
     ("selftest", "--n-max", "8", "--k-max", "2"),
 ]
+
+
+class TestStartUp:
+    def test_import_leaves_dataclasses_and_inspect_out(self):
+        # every command starts a fresh process; the package's value types are
+        # named tuples and plain classes, so importing it and building the
+        # parser pulls in neither dataclasses nor inspect
+        src = os.path.dirname(os.path.dirname(overpart.__file__))
+        code = ("import sys; import overpart.cli; overpart.cli.build_parser(); "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestUsage:

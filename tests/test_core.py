@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -341,10 +342,42 @@ class TestMembership:
 
 class TestFamilySpec:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             FamilySpec("NOPE")
-        with pytest.raises(ValueError):
-            FamilySpec(SPTK, 0)
+        assert str(exc.value) == "unknown family id 'NOPE'"
+        for k in (0, -2):
+            with pytest.raises(ValueError) as exc:
+                FamilySpec(SPTK, k)
+            assert str(exc.value) == "k must be a positive integer"
+        with pytest.raises(ValueError) as exc:
+            FamilySpec(id="pe", k=1)  # ids are the upper-case constants
+        assert str(exc.value) == "unknown family id 'pe'"
+
+    def test_repr(self):
+        assert repr(FamilySpec(PE)) == "FamilySpec(id='PE', k=1)"
+        assert repr(FamilySpec(SPTKO, k=3)) == "FamilySpec(id='SPTKO', k=3)"
+
+    def test_equality_and_hash(self):
+        # a named tuple: equal to and hashed as the plain tuple (id, k)
+        assert FamilySpec(BEK, 2) == FamilySpec(BEK, k=2) == (BEK, 2)
+        assert FamilySpec(BEK, 2) != FamilySpec(BEK, 1) != FamilySpec(BOK, 1)
+        assert FamilySpec(PE) == FamilySpec(PE, 1)
+        assert hash(FamilySpec(BEK, 2)) == hash(FamilySpec(BEK, 2)) == hash((BEK, 2))
+        assert len({FamilySpec(fid, k) for fid in FAMILY_IDS for k in (1, 2, 1)}) == 20
+        fid, k = FamilySpec(SPTK, 4)
+        assert (fid, k) == (SPTK, 4)
+        copied = pickle.loads(pickle.dumps(FamilySpec(SPTKO, 3)))
+        assert copied == FamilySpec(SPTKO, 3) and type(copied) is FamilySpec
+
+    def test_fields_cannot_be_assigned(self):
+        fam = FamilySpec(SPTK, 2)
+        with pytest.raises(AttributeError):
+            fam.k = 3
+        with pytest.raises(AttributeError):
+            fam.id = PE
+        with pytest.raises(AttributeError):  # no instance dict either
+            fam.extra = 1
+        assert fam == (SPTK, 2) and fam.token == "spt2"
 
     def test_tokens(self):
         assert FamilySpec(SPTK, 2).token == "spt2"

@@ -510,5 +510,5 @@ class TestFamilyWalk:
         enumeration._listing.cache_clear()
         family_elements(FamilySpec(SPTKO, 1), 20)
         assert enumeration._first_value.cache_info().currsize == 476
-        assert enumeration._first_value("SPTKO", 1, 20, 20, 0) == 20
-        assert enumeration._first_value("BOK", 1, 16, 16, 0) == 0
+        assert enumeration._first_value(FamilySpec(SPTKO, 1), 20, 20, 0) == 20
+        assert enumeration._first_value(FamilySpec(BOK, 1), 16, 16, 0) == 0

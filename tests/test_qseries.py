@@ -64,10 +64,35 @@ class TestSeriesArithmetic:
             s.coefficient(4)
 
     def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            Series(0, (1,))
-        with pytest.raises(ValueError):
-            Series(2, (1, 2))
+        for order, coeffs in ((0, (1,)), (-1, ()), (0, (1, 2))):
+            with pytest.raises(ValueError) as exc:
+                Series(order, coeffs)
+            assert str(exc.value) == "order must be >= 1"
+        for order, coeffs in ((2, (1, 2)), (1, (1, 2, 3)), (1, ())):
+            with pytest.raises(ValueError) as exc:
+                Series(order=order, coeffs=coeffs)
+            assert str(exc.value) == "need exactly order+1 coefficients"
+
+    def test_repr(self):
+        assert repr(Series(2, (1, 0, -3))) == "Series(order=2, coeffs=(1, 0, -3))"
+
+    def test_equality_and_hash(self):
+        # a named tuple: equal to and hashed as the plain tuple (order, coeffs)
+        s = Series(2, (1, 2, 3))
+        assert s == Series(order=2, coeffs=(1, 2, 3)) == (2, (1, 2, 3))
+        assert s != Series(2, (1, 2, 4)) and s != Series(3, (1, 2, 3, 0))
+        assert hash(s) == hash(Series(2, (1, 2, 3))) == hash((2, (1, 2, 3)))
+        assert family_series(FamilySpec(PE), 30) == family_series(FamilySpec(PE), 30)
+
+    def test_fields_cannot_be_assigned(self):
+        s = Series(1, (1, 2))
+        with pytest.raises(AttributeError):
+            s.order = 2
+        with pytest.raises(AttributeError):
+            s.coeffs = (1, 2, 3)
+        with pytest.raises(AttributeError):  # no instance dict either
+            s.extra = 1
+        assert s.coefficient(1) == 2
 
 
 def _engine_factor(j, z, order):
