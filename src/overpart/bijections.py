@@ -4,13 +4,18 @@ with branch tracing and exhaustive verification harnesses.
 Each map rewrites only the last two runs of the canonical run-length
 form.  A domain member ends in one plain copy of s, and every move
 swaps that copy for one copy of s - 1, s or s + 1; T3's matching
-deletes the 1 and does the same to one copy of s2.  The run above the
-moved copy holds a value at least one larger, and every other run a
-larger one still, so the new copy either joins the run directly above,
-as in (4,3) -> (4,4), or becomes a run of its own.  Every application
-is returned as a :class:`MapTrace` recording the branch taken, the
-tagged codomain component hit, and whether the relevant sign statistic
-flipped.
+deletes the 1 and swaps one copy of s2 for a plain s2 - 1 or s2 + 1;
+T1's inverse undoes a move by swapping one copy of the last run for a
+plain copy one value down (an overlined 1 for a plain 1).  Every such
+swap is one ``_move``: the moves that overline, lift, lower and raise
+s, both matching branches and T1's inverse.  It drops one copy of the
+last run, a plain one when there is one, and adds the new copy, which
+goes one value above the dropped one only when that run held a single
+copy.  Every run above holds a value at least one larger, so the new
+copy joins the run left last, as in (4,3) -> (4,4), or becomes a run
+of its own.  Every application is returned as a :class:`MapTrace`
+recording the branch taken, the tagged codomain component hit, and
+whether the relevant sign statistic flipped.
 
 Identity map summary (s = smallest plain part, s2 = next part value up):
 
@@ -79,8 +84,8 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from .core import (
-    BEK, BOK, CE, CO, INFINITY, PE, PEX, POEX, SPTK, SPTKO, CollisionError, FamilySpec,
-    OverPartition, Stats, _canonical, _weighed_signature, member, stats, why_not_member,
+    BEK, BOK, CE, CO, PE, PEX, POEX, SPTK, SPTKO, CollisionError, FamilySpec, OverPartition,
+    _canonical, _weighed_signature, member, stats, why_not_member,
 )
 from .enumeration import IDENTITY_START, _listing, count_many, identity_sides
 
@@ -115,11 +120,14 @@ _TARGETS = {
 
 
 def _move(pi, value: int, over: int) -> OverPartition:
-    # pi less its last run, which holds a single copy, plus one copy of
-    # value, overlined when over is 1.  value is at most one above the
-    # dropped run's, so it can only join the run directly above, which is
-    # then rebuilt in place; a second overline of value raises CollisionError
-    rest, merge = pi[:-1], len(pi) > 1 and pi[-2][0] == value
+    # pi less one copy of its last run (v, p, o), a plain one when p > 0,
+    # plus one copy of value, overlined when over is 1.  value is at most
+    # v, or v + 1 when that run held a single copy, so the new copy can only
+    # join the run left last, which is then rebuilt in place, or become a
+    # run of its own; a second overline of value raises CollisionError
+    v, p, o = pi[-1]
+    rest = pi[:-1] if p + o == 1 else pi[:-1] + ((v, p - 1, o),)
+    merge = len(rest) > 0 and rest[-1][0] == value
     _, p, o = rest[-1] if merge else (value, 0, 0)
     if o and over:
         raise CollisionError(f"value {value} is already overlined")
@@ -241,9 +249,10 @@ class VerificationReport:
                 and self.domain_size == self.codomain_size)
 
 
-def _require(pi: OverPartition, fam: FamilySpec, weight: int, sig, *role: str) -> Stats:
-    # returns the Stats of pi when fam is spt1, spt1o, be1 or bo1: a member's
-    # last run is one plain copy of s, so they read off its runs and parity.
+def _require(pi: OverPartition, fam: FamilySpec, weight: int, sig, *role: str) -> int:
+    # returns the sign of the parts of pi above s when fam is spt1, spt1o,
+    # be1 or bo1: a member's last run is one plain copy of s, so every other
+    # part is above it, and s and s2 are the values of its last two runs.
     # sig is None for outside input, whose runs are read here; the audit
     # passes the signature its walk of this weight carried down to pi.  The
     # words of role, which names the caller, are joined only for a failure
@@ -253,13 +262,12 @@ def _require(pi: OverPartition, fam: FamilySpec, weight: int, sig, *role: str) -
     if not member(sig, fam):
         raise PreconditionError(f"{' '.join(role)}: {pi} is not in {fam.token}({weight}): "
                                 f"{why_not_member(pi, fam)}")
-    sign = -1 if sig.parity else 1
-    return Stats(pi[-1][0], pi[-2][0] if len(pi) > 1 else INFINITY, -sign, sign)
+    return 1 if sig.parity else -1
 
 
-def _flip(st_in: Stats, out: OverPartition, target_tag: str) -> bool:
+def _flip(sign_in: int, out: OverPartition, target_tag: str) -> bool:
     sign = _TARGETS[target_tag][2]
-    return sign is not None and st_in.sign_spt != getattr(stats(out), sign)
+    return sign is not None and sign_in != getattr(stats(out), sign)
 
 
 def _labelled_map(theorem: str, pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
@@ -267,18 +275,19 @@ def _labelled_map(theorem: str, pi: OverPartition, source_tag: str, n: int, sig=
     fam, low, _, _, role, labels = _AUDITS[theorem]
     if source_tag not in (SOURCE_N, low):
         raise PreconditionError(f"{role} source must be N or {low}")
-    st = _require(pi, fam, n + _OFFSET[source_tag], sig, role, "source", source_tag)
-    if source_tag == SOURCE_N_MINUS_1:  # T1's; s2 may be INFINITY
-        case = "gap" if st.s2 - st.s > 1 else "adjacent"
+    sign = _require(pi, fam, n + _OFFSET[source_tag], sig, role, "source", source_tag)
+    s = pi[-1][0]
+    if source_tag == SOURCE_N_MINUS_1:  # T1's; s2 is absent when s is the only value
+        case = "gap" if len(pi) == 1 or pi[-2][0] - s > 1 else "adjacent"
     else:
-        case = "one" if st.s == 1 and source_tag == SOURCE_N else "odd" if st.s % 2 else "even"
+        case = "one" if s == 1 and source_tag == SOURCE_N else "odd" if s % 2 else "even"
     if (source_tag, case) not in labels:  # only T3's even-s map leaves cases out
         raise PreconditionError(
-            f"{role} map needs an even smallest plain part (got {st.s}); odd-s elements "
+            f"{role} map needs an even smallest plain part (got {s}); odd-s elements "
             f"other than s = 1 in the N summand are images of the T3 matching, not sources")
     branch, move, target = labels[source_tag, case]
-    out = _MOVES[move](pi, st.s)
-    return MapTrace(theorem, source_tag, branch, pi, out, target, _flip(st, out, target))
+    out = _MOVES[move](pi, s)
+    return MapTrace(theorem, source_tag, branch, pi, out, target, _flip(sign, out, target))
 
 
 def map_t1(pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
@@ -292,8 +301,11 @@ def map_t1(pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
 
 def inv_t1(mu: OverPartition, n: int) -> tuple[OverPartition, str]:
     """Invert :func:`map_t1`, classifying by the smallest entry of
-    ``mu``: an overlined 1 undoes f2, an overlined-only entry undoes
-    f3, a single plain copy is an f1 image, anything else undoes f4."""
+    ``mu``: a single plain copy is an f1 image, its own input.  Any
+    other entry undoes a move, one ``_move`` of one of its copies, a
+    plain one when there is one, to a plain copy one value down (an
+    overlined 1 to a plain 1): an overlined 1 undoes f2, an
+    overlined-only entry f3, and anything else f4."""
     if n < 2:
         raise PreconditionError("inverse defined for n > 1")
     _require(mu, _PEX, n, None, "T1 inverse")
@@ -303,15 +315,11 @@ def inv_t1(mu: OverPartition, n: int) -> tuple[OverPartition, str]:
 def _inv_t1(mu: OverPartition) -> tuple[OverPartition, str]:
     # inv_t1 of an element of pex(n), n > 1, which the caller has checked,
     # rewriting its last run (m, p, o).  pex has no plain 1, so m = 1 is an
-    # overlined 1; undoing f4 leaves p - 1 + o >= 1 copies of m in place
+    # overlined 1, made plain in place
     m, p, o = mu[-1]
-    if m == 1:
-        return _canonical(mu[:-1] + ((1, 1, 0),)), SOURCE_N
-    if p == 0:
-        return _canonical(mu[:-1] + ((m - 1, 1, 0),)), SOURCE_N_MINUS_1
     if p == 1 and not o:
         return mu, SOURCE_N
-    return _canonical(mu[:-1] + ((m, p - 1, o), (m - 1, 1, 0))), SOURCE_N_MINUS_1
+    return _move(mu, max(m - 1, 1), 0), SOURCE_N if m == 1 else SOURCE_N_MINUS_1
 
 
 def map_t2(pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
@@ -331,21 +339,19 @@ def map_t3_odd(pi: OverPartition, n: int, sig=None) -> MapTrace:
     part.  When the s2 value carries both kinds of copy the plain one
     is lowered; the trace flags this with ``ambiguous_s2``.
     """
-    st = _require(pi, _SPT1O, n, sig, "T3 matching source")
-    if st.s != 1:
+    sign = _require(pi, _SPT1O, n, sig, "T3 matching source")
+    if pi[-1][0] != 1:
         raise PreconditionError(
-            f"T3 matching applies only when the smallest plain part is 1 (got {st.s})")
+            f"T3 matching applies only when the smallest plain part is 1 (got {pi[-1][0]})")
     if len(pi) == 1:  # the 1 is the only entry
         raise PreconditionError("no part above the 1 to act on")
     # the 1 is plain-only, so it is the last run; deleting it leaves s2's
-    # run last, and s2's copy moves to s2 - 1 (a new last run) or s2 + 1
+    # run last, whose plain copy, if any, moves to s2 - 1, else its one
+    # overlined copy to s2 + 1
     s2, plain, over = pi[-2]
-    if plain:  # s2's run keeps its other copies, if any, in place
-        branch, target, out = "odd-plain", "SPT1O-N-2", _canonical(
-            pi[:-2] + ((s2, plain - 1, over),) * (plain + over > 1) + ((s2 - 1, 1, 0),))
-    else:  # s2's run is one overlined copy
-        branch, target, out = "odd-overlined", "SPT1O-N", _move(pi[:-1], s2 + 1, 0)
-    return MapTrace("T3", SOURCE_N, branch, pi, out, target, _flip(st, out, target),
+    branch, target = ("odd-plain", "SPT1O-N-2") if plain else ("odd-overlined", "SPT1O-N")
+    out = _move(pi[:-1], s2 - 1 if plain else s2 + 1, 0)
+    return MapTrace("T3", SOURCE_N, branch, pi, out, target, _flip(sign, out, target),
                     plain >= 1 and over == 1)
 
 

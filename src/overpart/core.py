@@ -303,16 +303,15 @@ _SIGNATURES: dict[Signature, Signature] = {}
 
 
 @lru_cache(maxsize=None)
-def _signature_of(state: int, last=(0, False, 0, 1)) -> Signature:
+def _signature_of(state: int, last) -> Signature:
     """The :class:`Signature` of runs whose run state, the last run
     included, has index ``state`` and whose last run is ``last``, given
-    as ``(value & 1, value == 1, plain, over)`` (the default stands for
-    no run, so no smallest plain part).  Each field is defined here
-    once.  The fields read the runs only through their run state and the
-    last value only through its parity and whether it is 1, so runs that
-    differ beyond these share one cache entry; :func:`signature` and the
-    counting and listing in :mod:`overpart.enumeration` reduce runs to
-    these keys."""
+    as ``(value & 1, value == 1, plain, over)``.  Each field is defined
+    here once.  The fields read the runs only through their run state
+    and the last value only through its parity and whether it is 1, so
+    runs that differ beyond these share one cache entry;
+    :func:`signature` and the counting and listing in
+    :mod:`overpart.enumeration` reduce runs to these keys."""
     odd_values, even_values, parity = _STATES[state]
     odd_last, one, plain, over = last
     k = 0 if over else plain

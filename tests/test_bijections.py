@@ -513,6 +513,31 @@ class TestRewritesMatchSurgery:
         with pytest.raises(CollisionError, match=r"^value 3 is already overlined$"):
             bijections._MOVES["lift"](pi, 2)
 
+    def test_move_drops_any_last_run_copy_as_surgery_does(self):
+        # _move drops one copy of the last run, a plain one when there is
+        # one, for one copy of value: at most the run's value, or one above
+        # it when the run holds a single copy
+        multi = 0  # moves out of a last run of several copies
+        for n in range(1, 13):
+            for pi in overpartitions(n):
+                v, p, o = pi[-1]
+                values = [v - 1] * (v > 1) + [v] + [v + 1] * (p + o == 1)
+                for value in values:
+                    for over in (0, 1):
+                        drop, add = [(v, not p)], [(value, bool(over))]
+                        try:
+                            want = edit_parts(pi, drop, add)
+                        except OverpartitionError:
+                            with pytest.raises(CollisionError,
+                                               match=rf"^value {value} is already overlined$"):
+                                bijections._move(pi, value, over)
+                            continue
+                        out = bijections._move(pi, value, over)
+                        assert out == want, (pi, value, over)
+                        self._canonical(out)
+                        multi += p + o > 1
+        assert multi
+
 
 class TestAuditFailures:
     # audits report a broken map instead of raising
@@ -720,6 +745,21 @@ class TestHotPath:
             listed = {id(pi) for tag in (SOURCE_N, low)
                       for pi in family_elements(fam, n + bijections._OFFSET[tag])}
             assert not any(id(entries) in listed for entries in seen)
+
+    def test_required_sign_and_s_agree_with_stats(self):
+        # _require returns the parts-above-s sign, and the maps read s from
+        # the last run: on every domain element, from the walk's signature
+        # and from the runs alike
+        domains = {(bijections._AUDITS[theorem][0], n + bijections._OFFSET[tag])
+                   for theorem, start in IDENTITY_START.items() if theorem in bijections._AUDITS
+                   for n in range(start, 21)
+                   for tag in (SOURCE_N, bijections._AUDITS[theorem][1])}
+        for fam, weight in domains:
+            for pi, sig in zip(*enumeration._listing(fam, weight)):
+                st = stats(pi)
+                assert pi[-1][0] == st.s, pi
+                for given in (sig, None):
+                    assert bijections._require(pi, fam, weight, given, "test") == st.sign_spt, pi
 
     @pytest.mark.parametrize("name, args, text", [
         ("map_t2", (parse("4,2"), SOURCE_N, 6), "T2 source N: 4,2 is not in spt1o(6): "
