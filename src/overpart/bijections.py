@@ -51,18 +51,18 @@ overline it, lift it to an overlined s+1, lower it to an overlined
 s-1, or raise it to a plain s+1.  The case is "one" for s=1 in the n
 summand, "gap" or "adjacent" in T1's n-1 summand as s2-s > 1 or not,
 and the parity of s otherwise.  T3's matching acts on s2, so it keeps
-its own map.  One router sends each domain element to its theorem's
-public map; for T3 it picks the matching or the even-s map by s, and
-leaves the other odd-s elements, the matching's image, unmapped.  One
-audit engine checks every theorem from its row.  A component that is
-also a domain summand (T3's matching) must be hit by exactly that
-summand's unmapped elements.
+its own map.  One router sends each domain element to the labelled
+moves or, for T3's s=1 elements, to the matching, and leaves T3's other
+odd-s elements, the matching's image, unmapped.  One audit engine
+checks every theorem from its row.  A component that is also a domain
+summand (T3's matching) must be hit by exactly that summand's unmapped
+elements.
 
 An audit lists only its domain.  Each domain element is checked
 against its summand from the signature that the walk listing it carried
 down to it, kept beside the listing, so its runs are not read again;
-outside input, through :func:`apply_map` or a public map called without
-``sig``, is checked in full, with the text naming a failed clause.
+outside input, through any public map or :func:`apply_map`, is checked
+in full, with the text naming a failed clause.
 Each image is checked as it is made: it lies inside its component when
 its weight and signature put it there, and is a stray otherwise.  The
 audit keeps one set of distinct outputs per component tag, for the
@@ -253,9 +253,10 @@ def _require(pi: OverPartition, fam: FamilySpec, weight: int, sig, *role: str) -
     # returns the sign of the parts of pi above s when fam is spt1, spt1o,
     # be1 or bo1: a member's last run is one plain copy of s, so every other
     # part is above it, and s and s2 are the values of its last two runs.
-    # sig is None for outside input, whose runs are read here; the audit
-    # passes the signature its walk of this weight carried down to pi.  The
-    # words of role, which names the caller, are joined only for a failure
+    # sig is None for outside input, whose runs are read here; only the
+    # audit's router passes one, the signature its walk of this weight
+    # carried down to pi.  The words of role, which names the caller, are
+    # joined only for a failure
     got, sig = _weighed_signature(pi) if sig is None else (weight, sig)
     if got != weight:
         raise PreconditionError(f"{' '.join(role)}: {pi} has weight {got}, expected {weight}")
@@ -290,13 +291,10 @@ def _labelled_map(theorem: str, pi: OverPartition, source_tag: str, n: int, sig=
     return MapTrace(theorem, source_tag, branch, pi, out, target, _flip(sign, out, target))
 
 
-def map_t1(pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
+def map_t1(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
     """Weight-preserving map into pex(n) from spt1(n) (tag N) or
-    spt1(n-1) (tag N-1).  Branches f1..f4 as in the module docstring.
-    Each forward map takes ``sig``, the signature of ``pi``, only from a
-    walk that listed ``pi`` at the source's weight; by default ``pi`` is
-    checked in full."""
-    return _labelled_map("T1", pi, source_tag, n, sig)
+    spt1(n-1) (tag N-1).  Branches f1..f4 as in the module docstring."""
+    return _labelled_map("T1", pi, source_tag, n)
 
 
 def inv_t1(mu: OverPartition, n: int) -> tuple[OverPartition, str]:
@@ -322,13 +320,13 @@ def _inv_t1(mu: OverPartition) -> tuple[OverPartition, str]:
     return _move(mu, max(m - 1, 1), 0), SOURCE_N if m == 1 else SOURCE_N_MINUS_1
 
 
-def map_t2(pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
+def map_t2(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
     """Map into the tagged union pe(n-1) + pe(n-1) + poex(n-1) from
     spt1o(n) (tag N) or spt1o(n-2) (tag N-2)."""
-    return _labelled_map("T2", pi, source_tag, n, sig)
+    return _labelled_map("T2", pi, source_tag, n)
 
 
-def map_t3_odd(pi: OverPartition, n: int, sig=None) -> MapTrace:
+def map_t3_odd(pi: OverPartition, n: int) -> MapTrace:
     """Sign-reversing matching move for s=1 elements of spt1o(n).
 
     If the part immediately above the 1 has a plain copy, delete the 1
@@ -339,6 +337,11 @@ def map_t3_odd(pi: OverPartition, n: int, sig=None) -> MapTrace:
     part.  When the s2 value carries both kinds of copy the plain one
     is lowered; the trace flags this with ``ambiguous_s2``.
     """
+    return _match(pi, n)
+
+
+def _match(pi: OverPartition, n: int, sig=None) -> MapTrace:
+    # map_t3_odd's matching, which the audit's router calls with sig
     sign = _require(pi, _SPT1O, n, sig, "T3 matching source")
     if pi[-1][0] != 1:
         raise PreconditionError(
@@ -355,20 +358,20 @@ def map_t3_odd(pi: OverPartition, n: int, sig=None) -> MapTrace:
                     plain >= 1 and over == 1)
 
 
-def map_t3_even(pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
+def map_t3_even(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
     """Sign-reversing map of even-s elements of spt1o(n) u spt1o(n-2)
     onto poex(n-1): the output's number-of-parts sign is opposite the
     input's parts-above-s sign."""
-    return _labelled_map("T3", pi, source_tag, n, sig)
+    return _labelled_map("T3", pi, source_tag, n)
 
 
-def map_t4(pi: OverPartition, source_tag: str, n: int, variant: str, sig=None) -> MapTrace:
+def map_t4(pi: OverPartition, source_tag: str, n: int, variant: str) -> MapTrace:
     """Map for the refined identities: variant "E" sends
     be1(n) u be1(n-2) into pe(n-1) u co(n-1); variant "O" mirrors it
     on bo1 with target ce(n-1)."""
     if variant not in ("E", "O"):
         raise PreconditionError("variant must be 'E' or 'O'")
-    return _labelled_map("T4" + variant.lower(), pi, source_tag, n, sig)
+    return _labelled_map("T4" + variant.lower(), pi, source_tag, n)
 
 
 def apply_map(theorem: str, pi: OverPartition, n: int,
@@ -395,21 +398,19 @@ def _audit_row(theorem: str, n: int):
 
 def _audit_trace(theorem: str, pi: OverPartition, source_tag: str, n: int,
                  sig=None) -> MapTrace | None:
-    # the one router: each theorem's public map, and for T3 the matching
-    # on the N summand's s=1 elements and the even-s map on every even-s
-    # one; T3's other odd-s elements are the matching's image and get None.
-    # T3 reads s from the last entry: 1 is the least value, so s = 1 is a
-    # last value 1 with a plain copy, and a member ends in a plain copy of s
-    if theorem in ("T1", "T2"):
-        return (map_t1 if theorem == "T1" else map_t2)(pi, source_tag, n, sig)
-    if theorem in ("T4e", "T4o"):
-        return map_t4(pi, source_tag, n, theorem[-1].upper(), sig)
-    if theorem != "T3":
+    # the one router, and the one caller that passes sig, the signature the
+    # audit's walk carried down to pi: each theorem's labelled moves, and for
+    # T3 the matching on the N summand's s=1 elements and the even-s moves
+    # on every even-s one; T3's other odd-s elements are the matching's
+    # image and get None.  T3 reads s from the last entry: 1 is the least
+    # value, so s = 1 is a last value 1 with a plain copy, and a member ends
+    # in a plain copy of s
+    if theorem not in _AUDITS:
         raise PreconditionError(f"unknown map {theorem!r}")
+    if theorem != "T3" or pi and pi[-1][0] % 2 == 0:
+        return _labelled_map(theorem, pi, source_tag, n, sig)
     v, plain = pi[-1][:2] if pi else (1, 0)
-    if v == 1 and plain and source_tag == SOURCE_N:
-        return map_t3_odd(pi, n, sig)
-    return map_t3_even(pi, source_tag, n, sig) if v % 2 == 0 else None
+    return _match(pi, n, sig) if v == 1 and plain and source_tag == SOURCE_N else None
 
 
 def _check_t1_inverse(mu: OverPartition, n: int, inside: bool, want, late: list) -> None:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import tracemalloc
 
@@ -6,7 +7,8 @@ import pytest
 import overpart.bijections as bijections
 import overpart.enumeration as enumeration
 from overpart.core import (
-    PEX, SPTKO, CollisionError, FamilySpec, OverPartition, OverpartitionError, parse, stats,
+    PEX, SPTKO, CollisionError, FamilySpec, OverPartition, OverpartitionError, parse, signature,
+    stats,
 )
 from overpart.bijections import (
     SOURCE_N, SOURCE_N_MINUS_1, SOURCE_N_MINUS_2,
@@ -543,15 +545,15 @@ class TestAuditFailures:
     # audits report a broken map instead of raising
 
     def test_wrong_output_names_the_component(self, monkeypatch):
-        real = bijections.map_t2
+        real = bijections._labelled_map
 
-        def wrong(pi, source_tag, n, *rest):
-            tr = real(pi, source_tag, n, *rest)
+        def wrong(*args):
+            tr = real(*args)
             if tr.branch == "A":
                 return tr._replace(output=tr.input)
             return tr
 
-        monkeypatch.setattr(bijections, "map_t2", wrong)
+        monkeypatch.setattr(bijections, "_labelled_map", wrong)
         r = verify_bijection("T2", 7)
         assert not r.ok and not r.surjective
         assert [v.branch for v in r.contract_violations] == ["A"] * 8
@@ -560,12 +562,12 @@ class TestAuditFailures:
                 "e.g. 2,2,2,1; 2o,2,2,1; 4,2,1") in r.problems
 
     def test_missing_sign_flip_is_a_violation(self, monkeypatch):
-        real = bijections.map_t3_even
+        real = bijections._labelled_map
 
-        def unsigned(pi, source_tag, n, *rest):
-            return real(pi, source_tag, n, *rest)._replace(sign_flip=False)
+        def unsigned(*args):
+            return real(*args)._replace(sign_flip=False)
 
-        monkeypatch.setattr(bijections, "map_t3_even", unsigned)
+        monkeypatch.setattr(bijections, "_labelled_map", unsigned)
         r = verify_t3(9)
         assert not r.ok
         assert len(r.contract_violations) == 6
@@ -573,44 +575,44 @@ class TestAuditFailures:
         assert not r.problems
 
     def test_raising_map_is_reported(self, monkeypatch):
-        real = bijections.map_t4
+        real = bijections._labelled_map
 
-        def fails_on_seven(pi, source_tag, n, variant, *rest):
-            if str(pi) == "7":
+        def fails_on_seven(*args):
+            if str(args[1]) == "7":
                 raise PreconditionError("broken")
-            return real(pi, source_tag, n, variant, *rest)
+            return real(*args)
 
-        monkeypatch.setattr(bijections, "map_t4", fails_on_seven)
+        monkeypatch.setattr(bijections, "_labelled_map", fails_on_seven)
         r = verify_bijection("T4e", 9)
         assert not r.ok and not r.injective and not r.surjective
         assert "7 [N-2]: broken" in r.problems
         assert "component PE: hit 13 of 14 elements" in r.problems
 
     def test_image_block_counts_only_the_component(self, monkeypatch):
-        real = bijections.map_t2
+        real = bijections._labelled_map
 
-        def wrong(pi, source_tag, n, *rest):
-            tr = real(pi, source_tag, n, *rest)
+        def wrong(*args):
+            tr = real(*args)
             if tr.branch == "A":
                 return tr._replace(output=tr.input)
             return tr
 
-        monkeypatch.setattr(bijections, "map_t2", wrong)
+        monkeypatch.setattr(bijections, "_labelled_map", wrong)
         r = verify_bijection("T2", 7)
         # all eight branch-A images lie outside pe(6), so none counts
         assert r.blocks["image:PE-copy1"] == 0
         assert r.blocks["codomain:PE-copy1"] == 8
 
     def test_t1_images_outside_pex_are_reported(self, monkeypatch):
-        real = bijections.map_t1
+        real = bijections._labelled_map
 
-        def heavy(pi, source_tag, n, *rest):
-            tr = real(pi, source_tag, n, *rest)
+        def heavy(*args):
+            tr = real(*args)
             if tr.branch == "f3":
                 return tr._replace(output=edit_parts(tr.output, add=[(1, False)]))
             return tr
 
-        monkeypatch.setattr(bijections, "map_t1", heavy)
+        monkeypatch.setattr(bijections, "_labelled_map", heavy)
         r = verify_bijection("T1", 8)
         assert not r.ok and not r.surjective
         assert {v.branch for v in r.contract_violations} == {"f3"}
@@ -672,7 +674,7 @@ class TestAuditFailures:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_t1_round_trip_inverts_each_pex_element_once(self, monkeypatch, n):
-        calls = {"map_t1": 0, "_inv_t1": 0}
+        calls = {"_labelled_map": 0, "_inv_t1": 0}
 
         def counted(name):
             real = getattr(bijections, name)
@@ -687,7 +689,7 @@ class TestAuditFailures:
         assert verify_bijection("T1", n).ok
         spt1 = FamilySpec("SPTK", 1)
         assert calls == {
-            "map_t1": len(family_elements(spt1, n)) + len(family_elements(spt1, n - 1)),
+            "_labelled_map": len(family_elements(spt1, n)) + len(family_elements(spt1, n - 1)),
             "_inv_t1": len(family_elements(FamilySpec("PEX"), n)),
         }
 
@@ -777,6 +779,9 @@ class TestHotPath:
          "smallest plain part 1 appears 2 time(s); must appear exactly 1"),
         ("apply_map", ("T4e", parse("4,3,1"), 8), "T4e source N: 4,3,1 is not in be1(8): "
          "part 3 has the same parity as the smallest plain part 1"),
+        ("map_t1", (parse("9,4"), SOURCE_N, 6), "T1 source N: 9,4 has weight 13, expected 6"),
+        ("map_t2", (parse("3o"), SOURCE_N, 3), "T2 source N: 3o is not in spt1o(3): "
+         "every part is overlined, so no smallest plain part exists"),
     ])
     def test_outside_input_is_checked_in_full(self, name, args, text):
         # no signature: weight and membership are read from the runs, and
@@ -784,6 +789,22 @@ class TestHotPath:
         with pytest.raises(PreconditionError) as info:
             getattr(bijections, name)(*args)
         assert str(info.value) == text
+
+    def test_public_maps_take_no_signature(self):
+        # only the audit's router passes the walk's signature, to the private
+        # core, so no caller can talk a public map out of its full check
+        for name in bijections.__all__:
+            obj = getattr(bijections, name)
+            if inspect.isfunction(obj):
+                assert "sig" not in inspect.signature(obj).parameters, name
+        for call, args in [(map_t1, (parse("5,1"), SOURCE_N, 6)),
+                           (map_t2, (parse("4,1"), SOURCE_N, 5)),
+                           (map_t3_odd, (parse("4,1"), 5)),
+                           (map_t3_even, (parse("7,2"), SOURCE_N, 9)),
+                           (map_t4, (parse("9"), SOURCE_N, 9, "E"))]:
+            call(*args)
+            with pytest.raises(TypeError):
+                call(*args, signature(args[0]))
 
 
 def reference_audit(theorem, n):
@@ -882,13 +903,13 @@ def _replacing(name, change):
     return mutated
 
 
-_REAL_MAP_T4 = bijections.map_t4
+_REAL_LABELLED_MAP = bijections._labelled_map
 
 
 def _raising_on_seven(*args):
-    if str(args[0]) == "7":
+    if str(args[1]) == "7":
         raise PreconditionError("broken")
-    return _REAL_MAP_T4(*args)
+    return _REAL_LABELLED_MAP(*args)
 
 
 _OTHER_TAG = {SOURCE_N: SOURCE_N_MINUS_1, SOURCE_N_MINUS_1: SOURCE_N}
@@ -897,18 +918,18 @@ _OTHER_TAG = {SOURCE_N: SOURCE_N_MINUS_1, SOURCE_N_MINUS_1: SOURCE_N}
 # and the CLI tests: wrong outputs, a raising map, a relabelled component,
 # a missing sign flip and a swapped inverse tag
 MUTATIONS = {
-    "T2-branch-A-keeps-input": ("T2", "map_t2", lambda: _replacing(
-        "map_t2", lambda tr: tr._replace(output=tr.input)
+    "T2-branch-A-keeps-input": ("T2", "_labelled_map", lambda: _replacing(
+        "_labelled_map", lambda tr: tr._replace(output=tr.input)
         if tr.branch == "A" else tr)),
-    "T1-f3-one-part-heavier": ("T1", "map_t1", lambda: _replacing(
-        "map_t1", lambda tr: tr._replace(
+    "T1-f3-one-part-heavier": ("T1", "_labelled_map", lambda: _replacing(
+        "_labelled_map", lambda tr: tr._replace(
             output=edit_parts(tr.output, add=[(1, False)])) if tr.branch == "f3" else tr)),
-    "T4e-raises-on-7": ("T4e", "map_t4", lambda: _raising_on_seven),
-    "T2-POEX-relabelled": ("T2", "map_t2", lambda: _replacing(
-        "map_t2", lambda tr: tr._replace(target_tag="PE-copy1")
+    "T4e-raises-on-7": ("T4e", "_labelled_map", lambda: _raising_on_seven),
+    "T2-POEX-relabelled": ("T2", "_labelled_map", lambda: _replacing(
+        "_labelled_map", lambda tr: tr._replace(target_tag="PE-copy1")
         if tr.target_tag == "POEX" else tr)),
-    "T3-unsigned": ("T3", "map_t3_even", lambda: _replacing(
-        "map_t3_even", lambda tr: tr._replace(sign_flip=False))),
+    "T3-unsigned": ("T3", "_labelled_map", lambda: _replacing(
+        "_labelled_map", lambda tr: tr._replace(sign_flip=False))),
     "T1-inverse-tag-swapped": ("T1", "_inv_t1", lambda: _replacing(
         "_inv_t1", lambda back: (back[0], _OTHER_TAG[back[1]]))),
 }
@@ -954,7 +975,7 @@ class TestCountCertifiedAudit:
         return first, second
 
     def test_t2_two_inputs_to_one_output(self, monkeypatch):
-        self._collide(monkeypatch, "T2", "map_t2", 7, "A")
+        self._collide(monkeypatch, "T2", "_labelled_map", 7, "A")
         r = verify_bijection("T2", 7)
         assert not r.ok and not r.injective and not r.surjective
         assert not r.contract_violations
@@ -962,7 +983,7 @@ class TestCountCertifiedAudit:
         assert audited("T2", 7) == reference_audit("T2", 7)
 
     def test_t1_two_inputs_to_one_output(self, monkeypatch):
-        first, second = self._collide(monkeypatch, "T1", "map_t1", 8, "f2")
+        first, second = self._collide(monkeypatch, "T1", "_labelled_map", 8, "f2")
         size = len(family_elements(FamilySpec("PEX"), 8))
         r = verify_bijection("T1", 8)
         assert not r.ok and not r.injective and not r.surjective
@@ -995,8 +1016,9 @@ class TestImageSets:
         # makes, is now hit twice under PE-copy1 and not at all under
         # PE-copy2; it stays inside pe(6), so no contract breaks
         victim = next(tr for tr in audit_traces("T2", 7) if tr.target_tag == "PE-copy2")
-        monkeypatch.setattr(bijections, "map_t2", _replacing(
-            "map_t2", lambda tr: tr._replace(target_tag="PE-copy1") if tr == victim else tr))
+        monkeypatch.setattr(bijections, "_labelled_map", _replacing(
+            "_labelled_map",
+            lambda tr: tr._replace(target_tag="PE-copy1") if tr == victim else tr))
         r = verify_bijection("T2", 7)
         assert not r.injective and not r.surjective and not r.ok
         assert not r.contract_violations
@@ -1009,8 +1031,8 @@ class TestImageSets:
         # tags: two distinct images, so the audit stays injective but not onto
         first, second = [tr for tr in audit_traces("T2", 7) if tr.branch == "A"][:2]
         stray = first.input  # weight 7, so outside pe(6)
-        monkeypatch.setattr(bijections, "map_t2", _replacing(
-            "map_t2", lambda tr: tr._replace(output=stray, target_tag="PE-copy2")
+        monkeypatch.setattr(bijections, "_labelled_map", _replacing(
+            "_labelled_map", lambda tr: tr._replace(output=stray, target_tag="PE-copy2")
             if tr == second else tr._replace(output=stray) if tr == first else tr))
         r = verify_bijection("T2", 7)
         assert r.injective and not r.surjective

@@ -331,15 +331,15 @@ class TestCheckBijection:
 
     def test_failed_audit_exits_1_with_problems(self, capsys, monkeypatch):
         # a map that sends the POEX branches to the wrong component
-        real = bijections.map_t2
+        real = bijections._labelled_map
 
-        def wrong(pi, source_tag, n, *rest):
-            tr = real(pi, source_tag, n, *rest)
+        def wrong(*args):
+            tr = real(*args)
             if tr.target_tag == "POEX":
                 return tr._replace(target_tag="PE-copy1")
             return tr
 
-        monkeypatch.setattr(bijections, "map_t2", wrong)
+        monkeypatch.setattr(bijections, "_labelled_map", wrong)
         code, out, _ = run(capsys, "check-bijection", "T2", "--n", "7")
         assert code == 1
         assert "NOT bijective FAIL" in out
@@ -355,15 +355,15 @@ class TestCheckBijection:
 
     def test_failed_t1_round_trip_exits_1_with_problems(self, capsys, monkeypatch):
         # f3 images one part heavier leave pex(8), so inv_t1 rejects them
-        real = bijections.map_t1
+        real = bijections._labelled_map
 
-        def heavy(pi, source_tag, n, *rest):
-            tr = real(pi, source_tag, n, *rest)
+        def heavy(*args):
+            tr = real(*args)
             if tr.branch == "f3":
                 return tr._replace(output=edit_parts(tr.output, add=[(1, False)]))
             return tr
 
-        monkeypatch.setattr(bijections, "map_t1", heavy)
+        monkeypatch.setattr(bijections, "_labelled_map", heavy)
         code, out, err = run(capsys, "check-bijection", "T1", "--n", "8")
         assert (code, err) == (1, "")
         assert "NOT bijective FAIL" in out
