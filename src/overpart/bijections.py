@@ -43,10 +43,9 @@ T4   be1/bo1(n) u be1/bo1(n-2) -> pe(n-1) u co/ce(n-1)
 
 Each theorem is one row of one table: its domain family and summands,
 its codomain tags (each defined once with family, weight and sign
-statistic), whether every trace must flip sign, and the labelled moves
-of its map (for T3, of its even-s map).  Per (source, case) the labels
-give the branch, the move and the codomain tag, and a case left out is
-outside the domain.  The moves act on s: keep it, delete the 1,
+statistic), and the labelled moves of its map (for T3, of its even-s
+map).  Per (source, case) the labels give the branch, the move and the
+codomain tag, and a case left out is outside the domain.  The moves act on s: keep it, delete the 1,
 overline it, lift it to an overlined s+1, lower it to an overlined
 s-1, or raise it to a plain s+1.  The case is "one" for s=1 in the n
 summand, "gap" or "adjacent" in T1's n-1 summand as s2-s > 1 or not,
@@ -64,18 +63,20 @@ down to it, kept beside the listing, so its runs are not read again;
 outside input, through any public map or :func:`apply_map`, is checked
 in full, with the text naming a failed clause.
 Each image is checked as it is made: it lies inside its component when
-its weight and signature put it there, and is a stray otherwise.  The
-audit keeps one set of distinct outputs per component tag, for the
-images inside and for the strays, and is injective when they number its
-traces: the codomain is a tagged union, so one output hit under two
-tags is two images, and one hit twice under a tag breaks it.  Every
-component but T3's matching is onto when its distinct images inside it
-number its size, an exact count from the run-state memo of
-:mod:`overpart.enumeration`, and it has no stray.  T1's inverse is
-checked in the same pass: each trace's output is inverted once, as the
-trace is checked, and must give back its input and source.  A codomain
-is listed only when a failing T1 audit must name the elements it
-missed.
+its weight and signature put it there, and is a stray otherwise.  One
+sign rule holds for every theorem: an image inside a component whose
+tag names a sign statistic (poex, co, ce, and T3's spt1o summands) must
+have flipped sign against its input.  The audit keeps one set of
+distinct outputs per component tag, for the images inside and for the
+strays, and is injective when they number its traces: the codomain is
+a tagged union, so one output hit under two tags is two images, and one
+hit twice under a tag breaks it.  Every component but T3's matching is
+onto when its distinct images inside it number its size, an exact count
+from the run-state memo of :mod:`overpart.enumeration`, and it has no
+stray.  T1's inverse is checked in the same pass: each trace's output
+is inverted once, as the trace is checked, and must give back its input
+and source.  A codomain is listed only when a failing T1 audit must
+name the elements it missed.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ _PE = FamilySpec(PE)
 _PEX = FamilySpec(PEX)
 
 # codomain tag -> (family, weight offset from n, the output's Stats sign
-# field compared against the input's sign_spt, or None for no sign)
+# field compared against the input's sign_spt, or None for no sign); every
+# audit requires an image inside a signed component to flip that sign
 _TARGETS = {
     "PEX": (_PEX, 0, None),
     "PE-copy1": (_PE, -1, None), "PE-copy2": (_PE, -1, None),
@@ -155,26 +157,26 @@ def _t4_labels(refined: str) -> dict:
 
 
 # theorem -> (domain family, its second summand's source tag (the first
-# is N), codomain component tags, whether every trace must flip sign,
-# the map's name in messages, its labels).  Labels send (source, case)
-# to (branch, move, target tag), with case "one" for s=1 in the N
-# summand, "gap" or "adjacent" in T1's N-1 summand as s2 - s > 1 or
-# not, else "even" or "odd" by the parity of s
+# is N), codomain component tags, the map's name in messages, its
+# labels); which images must flip sign, _TARGETS says.  Labels send
+# (source, case) to (branch, move, target tag), with case "one" for s=1
+# in the N summand, "gap" or "adjacent" in T1's N-1 summand as
+# s2 - s > 1 or not, else "even" or "odd" by the parity of s
 _AUDITS = {
-    "T1": (FamilySpec(SPTK, 1), SOURCE_N_MINUS_1, ("PEX",), False, "T1", {
+    "T1": (FamilySpec(SPTK, 1), SOURCE_N_MINUS_1, ("PEX",), "T1", {
         (SOURCE_N, "one"): ("f2", "overline", "PEX"), (SOURCE_N, "even"): ("f1", "keep", "PEX"),
         (SOURCE_N, "odd"): ("f1", "keep", "PEX"), (SOURCE_N_MINUS_1, "gap"): ("f3", "lift", "PEX"),
         (SOURCE_N_MINUS_1, "adjacent"): ("f4", "raise", "PEX")}),
-    "T2": (_SPT1O, SOURCE_N_MINUS_2, ("PE-copy1", "PE-copy2", "POEX"), False, "T2", {
+    "T2": (_SPT1O, SOURCE_N_MINUS_2, ("PE-copy1", "PE-copy2", "POEX"), "T2", {
         (SOURCE_N, "one"): ("A", "delete", "PE-copy1"), (SOURCE_N, "even"): ("B", "lower", "POEX"),
         (SOURCE_N, "odd"): ("C", "lower", "PE-copy2"),
         (SOURCE_N_MINUS_2, "even"): ("D", "raise", "POEX"),
         (SOURCE_N_MINUS_2, "odd"): ("E", "raise", "PE-copy2")}),
-    "T3": (_SPT1O, SOURCE_N_MINUS_2, ("SPT1O-N", "SPT1O-N-2", "POEX"), True, "T3 even-s", {
+    "T3": (_SPT1O, SOURCE_N_MINUS_2, ("SPT1O-N", "SPT1O-N-2", "POEX"), "T3 even-s", {
         (SOURCE_N, "even"): ("even-n", "lower", "POEX"),
         (SOURCE_N_MINUS_2, "even"): ("even-n-2", "raise", "POEX")}),
-    "T4e": (FamilySpec(BEK, 1), SOURCE_N_MINUS_2, ("PE", "CO"), False, "T4e", _t4_labels("CO")),
-    "T4o": (FamilySpec(BOK, 1), SOURCE_N_MINUS_2, ("PE", "CE"), False, "T4o", _t4_labels("CE")),
+    "T4e": (FamilySpec(BEK, 1), SOURCE_N_MINUS_2, ("PE", "CO"), "T4e", _t4_labels("CO")),
+    "T4o": (FamilySpec(BOK, 1), SOURCE_N_MINUS_2, ("PE", "CE"), "T4o", _t4_labels("CE")),
 }
 
 
@@ -273,7 +275,7 @@ def _flip(sign_in: int, out: OverPartition, target_tag: str) -> bool:
 
 def _labelled_map(theorem: str, pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
     # the moves of T1, T2, T3's even-s map and T4, labelled in _AUDITS
-    fam, low, _, _, role, labels = _AUDITS[theorem]
+    fam, low, _, role, labels = _AUDITS[theorem]
     if source_tag not in (SOURCE_N, low):
         raise PreconditionError(f"{role} source must be N or {low}")
     sign = _require(pi, fam, n + _OFFSET[source_tag], sig, role, "source", source_tag)
@@ -393,7 +395,7 @@ def _audit_row(theorem: str, n: int):
     start = IDENTITY_START[theorem]
     if n < start:
         raise ValueError(f"{theorem} is audited for n > {start - 1}")
-    return _AUDITS[theorem][:4]
+    return _AUDITS[theorem][:3]
 
 
 def _audit_trace(theorem: str, pi: OverPartition, source_tag: str, n: int,
@@ -437,12 +439,12 @@ def _check_t1_inverse(mu: OverPartition, n: int, inside: bool, want, late: list)
 
 
 def _audit(theorem: str, n: int) -> VerificationReport:
-    # weight, membership and (if asked) sign flip of every image, injectivity
-    # across the tagged codomain, and coverage of every component, certified
-    # by counting the distinct images inside it: only the domain is listed.
-    # T1's inverse is checked on each trace as it is made; its lines follow
-    # the component lines
-    fam, low, components, flips = _audit_row(theorem, n)
+    # weight, membership and, inside a signed component, sign flip of every
+    # image, injectivity across the tagged codomain, and coverage of every
+    # component, certified by counting the distinct images inside it: only
+    # the domain is listed.  T1's inverse is checked on each trace as it is
+    # made; its lines follow the component lines
+    fam, low, components = _audit_row(theorem, n)
     targets = {tag: _TARGETS[tag] for tag in components}
     report, late = VerificationReport(theorem, n, 0, 0, True, True), []
     unmapped = {}  # (family, offset) of a summand -> elements left unmapped
@@ -466,7 +468,7 @@ def _audit(theorem: str, n: int) -> VerificationReport:
             target = targets.get(tr.target_tag)
             weight, sig = _weighed_signature(tr.output)
             inside = target is not None and weight == n + target[1] and member(sig, target[0])
-            if not inside or flips and not tr.sign_flip:
+            if not inside or target[2] and not tr.sign_flip:
                 report.contract_violations.append(tr)
             (hits if inside else strays)[tr.target_tag].add(tr.output)
             if theorem == "T1":
@@ -502,12 +504,13 @@ def _audit(theorem: str, n: int) -> VerificationReport:
 
 def verify_bijection(theorem: str, n: int) -> VerificationReport:
     """Exhaustively apply the named map on its full tagged domain and
-    check membership, weight, injectivity across the tagged codomain,
-    and exact coverage of every component, certified by count: a
-    component is onto when its distinct images inside it number its
-    size from the exact counts, with no image outside it, so no
-    codomain is listed.  For T1 the explicit inverse is checked in the
-    same pass: each trace's output is inverted once, as the trace is
+    check membership, weight, a flipped sign for every image inside a
+    component that carries one (poex, co, ce), injectivity across the
+    tagged codomain, and exact coverage of every component, certified by
+    count: a component is onto when its distinct images inside it
+    number its size from the exact counts, with no image outside it, so
+    no codomain is listed.  For T1 the explicit inverse is checked in
+    the same pass: each trace's output is inverted once, as the trace is
     checked, and must return that trace's input and source (a
     mismatch's inverse is also mapped forward), and these lines follow
     the component lines.  forward(inverse(mu)) == mu for every mu in

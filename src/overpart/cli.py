@@ -32,7 +32,8 @@ DEFAULT_ORDER = 200
 # and 22 MiB, and the slowest columns, k = 5, about 0.4 s (sptk) and
 # 0.9 s (be) (fresh process, one core of a 2-vCPU x86-64 VM, Python 3.11).
 # Each k above K_COLUMNS costs selftest three more passes with a forward
-# sum each: --k-max 8 takes about 5-7 s, and --n-max 42 --k-max 42 28 s
+# sum each: --k-max 8 takes about 4.6-5.9 s, and --n-max 42 --k-max 42
+# 15-27 s (fresh processes, same VM; the spread is between sessions)
 MAX_ORDER = 4000
 # count, table, verify and selftest count from a memo of run-state
 # vectors and list no overpartition; at this cap, where pbar(42) =
@@ -43,10 +44,10 @@ MAX_N = 42
 # check-bijection maps and audits every domain element of each weight it
 # checks (codomain sizes are counted, not listed), so each theorem has its
 # own cap, sized by its domain family: T1 lists the dense spt1, and
-# check-bijection T1 --n-max 30 takes about 2.3 s and 36 MiB; the other
-# maps act on the sparse spt1o, be1 and bo1, and T2 --n-max 40 takes
-# about 0.9 s and 25 MiB (fresh process, one core of a 2-vCPU x86-64 VM,
-# Python 3.11)
+# check-bijection T1 --n-max 30 takes about 0.9-1.3 s and 33 MiB; the
+# other maps act on the sparse spt1o, be1 and bo1, and T2 --n-max 40
+# takes about 0.4-0.55 s and 24 MiB (fresh processes, one core of a
+# 2-vCPU x86-64 VM, Python 3.11; the spread is between sessions)
 MAX_AUDIT_N = {"T1": 30, "T2": 40, "T3": 40, "T4e": 40, "T4o": 40}
 
 EXIT_OK = 0

@@ -217,7 +217,9 @@ def _signature_counts(n: int) -> Counter:
     # memo, the runs of t parts are those sums at t less those at t + 2.
     # With an overlined head a signature reads t only through t & 1, which
     # the step puts in the state, and t > 1, so the runs of every t >= 2 of
-    # one parity, which telescope to the sums at t = 2 or 3, count at once
+    # one parity, which telescope to the sums at t = 2 or 3, count at once;
+    # counting those runs t by t gives the same counts but takes 10-40 %
+    # longer (every n <= 28 or <= 150 in process, x86-64 VM, Python 3.11)
     sigs = Counter({signature(()): 1} if _weight(n) == 0 else ())
     _fill(n - 1)
     sums = {}  # (t, v & 1, v == 1) -> the entries at n - v*t summed over that class of v

@@ -3,12 +3,14 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import overpart.bijections as bijections
 import overpart.enumeration as enumeration
 from overpart.core import (
-    PEX, SPTKO, CollisionError, FamilySpec, OverPartition, OverpartitionError, parse, signature,
-    stats,
+    PEX, SPTKO, CollisionError, FamilySpec, OverPartition, OverpartitionError, is_member, parse,
+    parse_family_token, signature, stats,
 )
 from overpart.bijections import (
     SOURCE_N, SOURCE_N_MINUS_1, SOURCE_N_MINUS_2,
@@ -217,7 +219,7 @@ class TestApplyMap:
         # maps, apply_map maps alike; what it leaves unmapped (T3's
         # matching image), the even-s map refuses
         for n in range(IDENTITY_START[theorem], 15):
-            fam, low, _, _ = bijections._audit_row(theorem, n)
+            fam, low, _ = bijections._audit_row(theorem, n)
             for tag in (SOURCE_N, low):
                 for pi in family_elements(fam, n + bijections._OFFSET[tag]):
                     tr = bijections._audit_trace(theorem, pi, tag, n)
@@ -482,7 +484,7 @@ class TestRewritesMatchSurgery:
         ("T4o", {("CaseI-n-2", "joins-s+1"), ("CaseII-n-2", "joins-s+1")}),
     ])
     def test_every_domain_element_to_20(self, theorem, meeting):
-        moves = {branch: move for branch, move, _ in bijections._AUDITS[theorem][5].values()}
+        moves = {branch: move for branch, move, _ in bijections._AUDITS[theorem][4].values()}
         met = set()
         for n in range(IDENTITY_START[theorem], 21):
             for tr in audit_traces(theorem, n):
@@ -561,17 +563,28 @@ class TestAuditFailures:
         assert ("component PE-copy1: hit 0 of 8 elements; 8 images outside it, "
                 "e.g. 2,2,2,1; 2o,2,2,1; 4,2,1") in r.problems
 
-    def test_missing_sign_flip_is_a_violation(self, monkeypatch):
+    @pytest.mark.parametrize("theorem, n, violations, branches, targets", [
+        ("T3", 9, 6, {"even-n", "even-n-2"}, {"POEX"}),
+        ("T2", 10, 8, {"B", "D"}, {"POEX"}),
+        ("T4e", 10, 8, {"CaseI-n", "CaseI-n-2"}, {"CO"}),
+        ("T4o", 9, 6, {"CaseI-n", "CaseI-n-2"}, {"CE"}),
+        ("T1", 10, 0, set(), set()),
+    ], ids=["T3", "T2", "T4e", "T4o", "T1"])
+    def test_missing_sign_flip_is_a_violation(self, monkeypatch, theorem, n, violations,
+                                              branches, targets):
+        # one sign rule for every audit: an image inside a component that
+        # carries a sign (poex, co, ce) must flip it; pex carries none
         real = bijections._labelled_map
 
         def unsigned(*args):
             return real(*args)._replace(sign_flip=False)
 
         monkeypatch.setattr(bijections, "_labelled_map", unsigned)
-        r = verify_t3(9)
-        assert not r.ok
-        assert len(r.contract_violations) == 6
-        assert {v.branch for v in r.contract_violations} == {"even-n", "even-n-2"}
+        r = verify_t3(n) if theorem == "T3" else verify_bijection(theorem, n)
+        assert r.ok is (violations == 0)
+        assert len(r.contract_violations) == violations
+        assert {v.branch for v in r.contract_violations} == branches
+        assert {v.target_tag for v in r.contract_violations} == targets
         assert not r.problems
 
     def test_raising_map_is_reported(self, monkeypatch):
@@ -812,7 +825,7 @@ def reference_audit(theorem, n):
     reference: every codomain component is listed with family_elements and
     its hit and want sets are compared, and for T1 every element of pex(n)
     is inverted and mapped back.  Returns the fields the two must share."""
-    fam, low, components, _ = bijections._audit_row(theorem, n)
+    fam, low, components = bijections._audit_row(theorem, n)
     blocks, problems, traces, unmapped, domain = {}, [], [], {}, 0
     for tag in (SOURCE_N, low):
         offset = bijections._OFFSET[tag]
@@ -1042,3 +1055,71 @@ class TestImageSets:
         assert f"component PE-copy2: hit 8 of 8 elements; 1 images outside it, e.g. {stray}" \
             in r.problems
         assert audited("T2", 7) == reference_audit("T2", 7)
+
+
+@st.composite
+def members(draw, opposite):
+    # a member of spt1 (of spt1o when opposite) built from the bottom: one
+    # plain s, then runs above it, each with plain copies and at most one
+    # overlined copy; when opposite, the first run lies an odd step above s
+    # and each next one an even step, so every value above s has the
+    # parity opposite to s.  s = 1 and small gaps are drawn often
+    small = st.sampled_from([1, 1, 2, 3])
+    s = draw(st.one_of(small, st.integers(1, 60)))
+    runs = [(s, 1, 0)]
+    for _ in range(draw(st.integers(0, 8))):
+        gap = draw(st.one_of(small, st.integers(1, 12)))
+        if opposite:
+            gap = 2 * gap - (len(runs) == 1)
+        over = draw(st.integers(0, 1))
+        runs.append((runs[-1][0] + gap, draw(st.integers(1 - over, 3)), over))
+    return OverPartition(runs[::-1])
+
+
+# target tag -> (family token, weight offset from n, whether the family
+# carries a sign), written out apart from the module's own table
+TARGETS = {
+    "PEX": ("pex", 0, False), "PE-copy1": ("pe", -1, False), "PE-copy2": ("pe", -1, False),
+    "PE": ("pe", -1, False), "POEX": ("poex", -1, True), "CO": ("co", -1, True),
+    "CE": ("ce", -1, True), "SPT1O-N": ("spt1o", 0, True), "SPT1O-N-2": ("spt1o", -2, True),
+}
+
+
+class TestMapProperties:
+    # the maps on members far past the exhaustive range, at weights in the
+    # hundreds and up to about 2000; n follows from the member's weight and
+    # its summand
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(members(opposite=True), st.sampled_from([SOURCE_N, SOURCE_N_MINUS_2]))
+    def test_images_land_in_their_targets_with_their_sign(self, pi, tag):
+        # T2, T3 where its router maps, and T4e or T4o, whichever holds pi:
+        # the image has weight n plus its target's offset, lies in the
+        # target family, and flips sign exactly when that family carries
+        # one; parts above s count the input's sign, all parts poex's, co's
+        # and ce's, and parts above s spt1o's
+        n = pi.weight + (tag == SOURCE_N_MINUS_2) * 2
+        s, refined = pi[-1][0], "T4o" if pi.num_parts % 2 == 0 else "T4e"
+        for theorem in ("T2", "T3", refined):
+            if n < IDENTITY_START[theorem]:
+                continue
+            tr, where = bijections._audit_trace(theorem, pi, tag, n), (theorem, str(pi), tag)
+            if tr is None:  # the matching's image: odd s, not a matching source
+                assert theorem == "T3" and s % 2 and (s, tag) != (1, SOURCE_N), where
+                continue
+            token, offset, signed = TARGETS[tr.target_tag]
+            out = tr.output
+            assert out.weight == n + offset, where
+            assert is_member(out, parse_family_token(token)[0]), where
+            assert tr.sign_flip is signed, where
+            if signed:
+                above = out.num_parts - (token == "spt1o")
+                assert (pi.num_parts - 1) % 2 != above % 2, where
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(members(opposite=False), st.sampled_from([SOURCE_N, SOURCE_N_MINUS_1]))
+    def test_t1_inverse_gives_back_input_and_source(self, pi, tag):
+        n = pi.weight + (tag == SOURCE_N_MINUS_1)
+        if n < IDENTITY_START["T1"]:
+            return
+        assert inv_t1(map_t1(pi, tag, n).output, n) == (pi, tag), (str(pi), tag)
