@@ -68,20 +68,23 @@ sign rule holds for every theorem: an image inside a component whose
 tag names a sign statistic (poex, co, ce, and T3's spt1o summands) must
 have flipped sign against its input.  The audit keeps one set of
 distinct outputs per component tag, for the images inside and for the
-strays, and is injective when they number its traces: the codomain is
-a tagged union, so one output hit under two tags is two images, and one
-hit twice under a tag breaks it.  Every component but T3's matching is
-onto when its distinct images inside it number its size, an exact count
-from the run-state memo of :mod:`overpart.enumeration`, and it has no
-stray.  T1's inverse is checked in the same pass: each trace's output
-is inverted once, as the trace is checked, and must give back its input
-and source.  A codomain is listed only when a failing T1 audit must
-name the elements it missed.
+strays, and a count of its traces per tag, and is injective when the
+distinct outputs number the traces: the codomain is a tagged union, so
+one output hit under two tags is two images, and one hit twice under a
+tag breaks it.  It keeps the traces themselves only when asked.  Every
+component but T3's matching is onto when its distinct images inside it
+number its size, an exact count from the run-state memo of
+:mod:`overpart.enumeration`, and it has no stray.  T1's inverse is
+checked in the same pass: each trace's output is inverted once, as the
+trace is checked, and must give back its input and source; a failure
+is then reported in full.  A codomain is listed only when a failing T1
+audit must name the elements it missed.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from typing import NamedTuple
 
 from .core import (
@@ -113,9 +116,8 @@ _PEX = FamilySpec(PEX)
 # audit requires an image inside a signed component to flip that sign
 _TARGETS = {
     "PEX": (_PEX, 0, None),
-    "PE-copy1": (_PE, -1, None), "PE-copy2": (_PE, -1, None),
+    "PE": (_PE, -1, None), "PE-copy1": (_PE, -1, None), "PE-copy2": (_PE, -1, None),
     "POEX": (FamilySpec(POEX), -1, "sign_parts"),
-    "PE": (_PE, -1, None),
     "CO": (FamilySpec(CO), -1, "sign_parts"), "CE": (FamilySpec(CE), -1, "sign_parts"),
     "SPT1O-N": (_SPT1O, 0, "sign_spt"), "SPT1O-N-2": (_SPT1O, -2, "sign_spt"),
 }
@@ -124,16 +126,20 @@ _TARGETS = {
 def _move(pi, value: int, over: int) -> OverPartition:
     # pi less one copy of its last run (v, p, o), a plain one when p > 0,
     # plus one copy of value, overlined when over is 1.  value is at most
-    # v, or v + 1 when that run held a single copy, so the new copy can only
-    # join the run left last, which is then rebuilt in place, or become a
-    # run of its own; a second overline of value raises CollisionError
+    # v, or v + 1 when that run held a single copy, so the new copy goes
+    # below the copies left of v, joins the run left last (v's, or the one
+    # above when v's is gone), or becomes a run of its own; each result is
+    # one concatenation.  A second overline of value raises CollisionError
     v, p, o = pi[-1]
-    rest = pi[:-1] if p + o == 1 else pi[:-1] + ((v, p - 1, o),)
-    merge = len(rest) > 0 and rest[-1][0] == value
-    _, p, o = rest[-1] if merge else (value, 0, 0)
+    if p + o > 1 and value < v:  # below the p - 1 plain copies left of v
+        return _canonical(pi[:-1] + ((v, p - 1, o), (value, 1 - over, over)))
+    # else the new copy joins a run: the one above when v's run is gone and
+    # that one holds value (cut 2 runs off pi), v's own copies left, or none
+    cut = 2 if p + o == 1 and len(pi) > 1 and pi[-2][0] == value else 1
+    _, p, o = pi[-2] if cut == 2 else (v, p - 1, o) if p + o > 1 else (value, 0, 0)
     if o and over:
         raise CollisionError(f"value {value} is already overlined")
-    return _canonical(rest[:len(rest) - merge] + ((value, p + 1 - over, o + over),))
+    return _canonical(pi[:-cut] + ((value, p + 1 - over, o + over),))
 
 
 # move -> the overpartition it makes of pi, a domain member, whose last run
@@ -149,35 +155,43 @@ _MOVES = {
 
 
 def _t4_labels(refined: str) -> dict:
-    return {(SOURCE_N, "one"): ("CaseII-s1", "delete", "PE"),
-            (SOURCE_N, "odd"): ("CaseII-n", "lower", "PE"),
-            (SOURCE_N, "even"): ("CaseI-n", "lower", refined),
-            (SOURCE_N_MINUS_2, "even"): ("CaseI-n-2", "raise", refined),
-            (SOURCE_N_MINUS_2, "odd"): ("CaseII-n-2", "raise", "PE")}
+    return {SOURCE_N: {"one": ("CaseII-s1", "delete", "PE"), "odd": ("CaseII-n", "lower", "PE"),
+                       "even": ("CaseI-n", "lower", refined)},
+            SOURCE_N_MINUS_2: {"even": ("CaseI-n-2", "raise", refined),
+                               "odd": ("CaseII-n-2", "raise", "PE")}}
 
 
 # theorem -> (domain family, its second summand's source tag (the first
 # is N), codomain component tags, the map's name in messages, its
-# labels); which images must flip sign, _TARGETS says.  Labels send
-# (source, case) to (branch, move, target tag), with case "one" for s=1
-# in the N summand, "gap" or "adjacent" in T1's N-1 summand as
-# s2 - s > 1 or not, else "even" or "odd" by the parity of s
+# labels); which images must flip sign, _TARGETS says.  Labels send each
+# source to its cases, and each case to (branch, move, target tag), with
+# case "one" for s=1 in the N summand, "gap" or "adjacent" in T1's N-1
+# summand as s2 - s > 1 or not, else "even" or "odd" by the parity of s
 _AUDITS = {
     "T1": (FamilySpec(SPTK, 1), SOURCE_N_MINUS_1, ("PEX",), "T1", {
-        (SOURCE_N, "one"): ("f2", "overline", "PEX"), (SOURCE_N, "even"): ("f1", "keep", "PEX"),
-        (SOURCE_N, "odd"): ("f1", "keep", "PEX"), (SOURCE_N_MINUS_1, "gap"): ("f3", "lift", "PEX"),
-        (SOURCE_N_MINUS_1, "adjacent"): ("f4", "raise", "PEX")}),
+        SOURCE_N: {"one": ("f2", "overline", "PEX"), "even": ("f1", "keep", "PEX"),
+                   "odd": ("f1", "keep", "PEX")},
+        SOURCE_N_MINUS_1: {"gap": ("f3", "lift", "PEX"), "adjacent": ("f4", "raise", "PEX")}}),
     "T2": (_SPT1O, SOURCE_N_MINUS_2, ("PE-copy1", "PE-copy2", "POEX"), "T2", {
-        (SOURCE_N, "one"): ("A", "delete", "PE-copy1"), (SOURCE_N, "even"): ("B", "lower", "POEX"),
-        (SOURCE_N, "odd"): ("C", "lower", "PE-copy2"),
-        (SOURCE_N_MINUS_2, "even"): ("D", "raise", "POEX"),
-        (SOURCE_N_MINUS_2, "odd"): ("E", "raise", "PE-copy2")}),
+        SOURCE_N: {"one": ("A", "delete", "PE-copy1"), "even": ("B", "lower", "POEX"),
+                   "odd": ("C", "lower", "PE-copy2")},
+        SOURCE_N_MINUS_2: {"even": ("D", "raise", "POEX"), "odd": ("E", "raise", "PE-copy2")}}),
     "T3": (_SPT1O, SOURCE_N_MINUS_2, ("SPT1O-N", "SPT1O-N-2", "POEX"), "T3 even-s", {
-        (SOURCE_N, "even"): ("even-n", "lower", "POEX"),
-        (SOURCE_N_MINUS_2, "even"): ("even-n-2", "raise", "POEX")}),
+        SOURCE_N: {"even": ("even-n", "lower", "POEX")},
+        SOURCE_N_MINUS_2: {"even": ("even-n-2", "raise", "POEX")}}),
     "T4e": (FamilySpec(BEK, 1), SOURCE_N_MINUS_2, ("PE", "CO"), "T4e", _t4_labels("CO")),
     "T4o": (FamilySpec(BOK, 1), SOURCE_N_MINUS_2, ("PE", "CE"), "T4o", _t4_labels("CE")),
 }
+
+# (theorem, source tag) -> what _labelled_map reads of that summand,
+# resolved once from _AUDITS: its family, weight offset from n, its name
+# in messages, and case -> (branch, move, target tag, the target's sign
+# field in _TARGETS)
+_SUMMANDS = {
+    (theorem, tag): (fam, _OFFSET[tag], f"{role} source {tag}", {
+        case: (branch, _MOVES[move], target, _TARGETS[target][2])
+        for case, (branch, move, target) in cases.items()})
+    for theorem, (fam, _, _, role, labels) in _AUDITS.items() for tag, cases in labels.items()}
 
 
 # the JSON key of each MapTrace field, in field order
@@ -217,6 +231,11 @@ class MapTrace(NamedTuple):
         return {key: v for key, v in zip(_JSON_KEYS, text) if v or key != "ambiguousS2"}
 
 
+# a MapTrace from the tuple of all eight fields, built with no Python frame,
+# for the maps the audit calls on every domain element
+_trace = partial(tuple.__new__, MapTrace)
+
+
 class VerificationReport:
     """Outcome of an exhaustive audit at one weight.
 
@@ -228,10 +247,11 @@ class VerificationReport:
     component, and its size from exact counts (for T3's matching, the
     elements left unmapped), so ``codomain_size`` is counted, not
     listed.  ``traces`` holds every map application the audit made, in
-    domain enumeration order; a map that raised has no trace, and is
-    reported in ``problems``.  The four collections may be given by
-    position or keyword; each one left out starts empty, and is the
-    instance's own.  A plain class: reports compare by identity.
+    domain enumeration order, when the audit was asked for them
+    (``traces=True``), and is empty otherwise; a map that raised has no
+    trace, and is reported in ``problems``.  The four collections may be
+    given by position or keyword; each one left out starts empty, and is
+    the instance's own.  A plain class: reports compare by identity.
     """
 
     def __init__(self, theorem: str, n: int, domain_size: int, codomain_size: int,
@@ -239,10 +259,9 @@ class VerificationReport:
                  blocks=None, traces=None):
         self.theorem, self.n, self.injective, self.surjective = theorem, n, injective, surjective
         self.domain_size, self.codomain_size = domain_size, codomain_size
-        self.contract_violations = [] if contract_violations is None else contract_violations
-        self.problems = [] if problems is None else problems
+        self.contract_violations, self.problems, self.traces = (
+            [] if x is None else x for x in (contract_violations, problems, traces))
         self.blocks = {} if blocks is None else blocks
-        self.traces = [] if traces is None else traces
 
     @property
     def ok(self) -> bool:
@@ -251,46 +270,44 @@ class VerificationReport:
                 and self.domain_size == self.codomain_size)
 
 
-def _require(pi: OverPartition, fam: FamilySpec, weight: int, sig, *role: str) -> int:
+def _require(pi: OverPartition, fam: FamilySpec, weight: int, sig, role: str) -> int:
     # returns the sign of the parts of pi above s when fam is spt1, spt1o,
     # be1 or bo1: a member's last run is one plain copy of s, so every other
     # part is above it, and s and s2 are the values of its last two runs.
     # sig is None for outside input, whose runs are read here; only the
     # audit's router passes one, the signature its walk of this weight
-    # carried down to pi.  The words of role, which names the caller, are
-    # joined only for a failure
+    # carried down to pi.  role names the caller in a failure
     got, sig = _weighed_signature(pi) if sig is None else (weight, sig)
     if got != weight:
-        raise PreconditionError(f"{' '.join(role)}: {pi} has weight {got}, expected {weight}")
+        raise PreconditionError(f"{role}: {pi} has weight {got}, expected {weight}")
     if not member(sig, fam):
-        raise PreconditionError(f"{' '.join(role)}: {pi} is not in {fam.token}({weight}): "
+        raise PreconditionError(f"{role}: {pi} is not in {fam.token}({weight}): "
                                 f"{why_not_member(pi, fam)}")
     return 1 if sig.parity else -1
 
 
-def _flip(sign_in: int, out: OverPartition, target_tag: str) -> bool:
-    sign = _TARGETS[target_tag][2]
-    return sign is not None and sign_in != getattr(stats(out), sign)
-
-
 def _labelled_map(theorem: str, pi: OverPartition, source_tag: str, n: int, sig=None) -> MapTrace:
-    # the moves of T1, T2, T3's even-s map and T4, labelled in _AUDITS
-    fam, low, _, role, labels = _AUDITS[theorem]
-    if source_tag not in (SOURCE_N, low):
-        raise PreconditionError(f"{role} source must be N or {low}")
-    sign = _require(pi, fam, n + _OFFSET[source_tag], sig, role, "source", source_tag)
-    s = pi[-1][0]
-    if source_tag == SOURCE_N_MINUS_1:  # T1's; s2 is absent when s is the only value
-        case = "gap" if len(pi) == 1 or pi[-2][0] - s > 1 else "adjacent"
-    else:
-        case = "one" if s == 1 and source_tag == SOURCE_N else "odd" if s % 2 else "even"
-    if (source_tag, case) not in labels:  # only T3's even-s map leaves cases out
+    # the moves of T1, T2, T3's even-s map and T4, labelled in _AUDITS and
+    # read from _SUMMANDS; an image flips sign when its target names a field
+    try:
+        fam, offset, role, cases = _SUMMANDS[theorem, source_tag]
+    except KeyError:  # an unknown map, or a summand its row does not name
+        row = _AUDITS.get(theorem)
+        raise PreconditionError(f"{row[3]} source must be N or {row[1]}" if row
+                                else f"unknown map {theorem!r}") from None
+    sign = _require(pi, fam, n + offset, sig, role)
+    s = pi[-1][0]  # T1's N-1 summand reads s2, which is absent when s is the only value
+    case = (("gap" if len(pi) == 1 or pi[-2][0] - s > 1 else "adjacent")
+            if source_tag == SOURCE_N_MINUS_1 else "one" if s == 1 and source_tag == SOURCE_N
+            else "odd" if s % 2 else "even")
+    if case not in cases:  # only T3's even-s map leaves cases out, so it names the refusal
         raise PreconditionError(
-            f"{role} map needs an even smallest plain part (got {s}); odd-s elements "
+            f"T3 even-s map needs an even smallest plain part (got {s}); odd-s elements "
             f"other than s = 1 in the N summand are images of the T3 matching, not sources")
-    branch, move, target = labels[source_tag, case]
-    out = _MOVES[move](pi, s)
-    return MapTrace(theorem, source_tag, branch, pi, out, target, _flip(sign, out, target))
+    branch, move, target, field = cases[case]
+    out = move(pi, s)
+    return _trace((theorem, source_tag, branch, pi, out, target,
+                   field is not None and sign != getattr(stats(out), field), False))
 
 
 def map_t1(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
@@ -355,9 +372,9 @@ def _match(pi: OverPartition, n: int, sig=None) -> MapTrace:
     # overlined copy to s2 + 1
     s2, plain, over = pi[-2]
     branch, target = ("odd-plain", "SPT1O-N-2") if plain else ("odd-overlined", "SPT1O-N")
-    out = _move(pi[:-1], s2 - 1 if plain else s2 + 1, 0)
-    return MapTrace("T3", SOURCE_N, branch, pi, out, target, _flip(sign, out, target),
-                    plain >= 1 and over == 1)
+    out = _move(pi[:-1], s2 - 1 if plain else s2 + 1, 0)  # into spt1o, signed by sign_spt
+    return _trace(("T3", SOURCE_N, branch, pi, out, target, sign != stats(out).sign_spt,
+                   plain >= 1 and over == 1))
 
 
 def map_t3_even(pi: OverPartition, source_tag: str, n: int) -> MapTrace:
@@ -376,8 +393,7 @@ def map_t4(pi: OverPartition, source_tag: str, n: int, variant: str) -> MapTrace
     return _labelled_map("T4" + variant.lower(), pi, source_tag, n)
 
 
-def apply_map(theorem: str, pi: OverPartition, n: int,
-              source_tag: str | None = None) -> MapTrace:
+def apply_map(theorem: str, pi: OverPartition, n: int, source_tag: str | None = None) -> MapTrace:
     """Dispatch one map application by identity name (CLI entry point).
 
     For T3 the branch is chosen by the smallest plain part: s=1 uses
@@ -392,9 +408,8 @@ def apply_map(theorem: str, pi: OverPartition, n: int,
 def _audit_row(theorem: str, n: int):
     if theorem not in _AUDITS:
         raise ValueError(f"no bijection audit for {theorem!r}")
-    start = IDENTITY_START[theorem]
-    if n < start:
-        raise ValueError(f"{theorem} is audited for n > {start - 1}")
+    if n < IDENTITY_START[theorem]:
+        raise ValueError(f"{theorem} is audited for n > {IDENTITY_START[theorem] - 1}")
     return _AUDITS[theorem][:3]
 
 
@@ -406,27 +421,22 @@ def _audit_trace(theorem: str, pi: OverPartition, source_tag: str, n: int,
     # on every even-s one; T3's other odd-s elements are the matching's
     # image and get None.  T3 reads s from the last entry: 1 is the least
     # value, so s = 1 is a last value 1 with a plain copy, and a member ends
-    # in a plain copy of s
-    if theorem not in _AUDITS:
-        raise PreconditionError(f"unknown map {theorem!r}")
+    # in a plain copy of s; _labelled_map refuses an unknown map
     if theorem != "T3" or pi and pi[-1][0] % 2 == 0:
         return _labelled_map(theorem, pi, source_tag, n, sig)
     v, plain = pi[-1][:2] if pi else (1, 0)
     return _match(pi, n, sig) if v == 1 and plain and source_tag == SOURCE_N else None
 
 
-def _check_t1_inverse(mu: OverPartition, n: int, inside: bool, want, late: list) -> None:
-    # T1's inverse of mu must give want, a trace's (input, source); an image
-    # inside pex(n) is inverted unchecked, a stray by inv_t1.  When it does
-    # not, the inverse is mapped forward and must give mu back.  With want
-    # None (an element of pex(n) no trace hit) only that forward check is
-    # made, to name mu
+def _check_t1_inverse(mu: OverPartition, n: int, want, late: list) -> None:
+    # the report of T1's inverse of mu where it does not give want, a
+    # trace's (input, source): the inverse, or its failure, and the inverse
+    # mapped forward, which must give mu back.  With want None (an element
+    # of pex(n) no trace hit) only that forward check is made, to name mu
     try:
-        back = _inv_t1(mu) if inside else inv_t1(mu, n)
+        back = inv_t1(mu, n)
     except Exception as exc:  # a broken inverse is reported, not raised
         late.append(f"inverse({mu}): {exc}")
-        return
-    if back == want:
         return
     if want is not None:
         late.append(f"inverse mismatch: {mu} -> ({back[0]}, {back[1]}), "
@@ -438,15 +448,16 @@ def _check_t1_inverse(mu: OverPartition, n: int, inside: bool, want, late: list)
         late.append(f"forward(inverse({mu})): {exc}")
 
 
-def _audit(theorem: str, n: int) -> VerificationReport:
+def _audit(theorem: str, n: int, traces: bool):
     # weight, membership and, inside a signed component, sign flip of every
     # image, injectivity across the tagged codomain, and coverage of every
     # component, certified by counting the distinct images inside it: only
     # the domain is listed.  T1's inverse is checked on each trace as it is
-    # made; its lines follow the component lines
+    # made; its lines follow the component lines.  Returns the report, with
+    # its traces when asked for, and the number of traces per target tag
     fam, low, components = _audit_row(theorem, n)
     targets = {tag: _TARGETS[tag] for tag in components}
-    report, late = VerificationReport(theorem, n, 0, 0, True, True), []
+    report, late, counts = VerificationReport(theorem, n, 0, 0, True, True), [], defaultdict(int)
     unmapped = {}  # (family, offset) of a summand -> elements left unmapped
     # tag -> the distinct outputs inside its component, and those outside
     # it, which only a broken map makes: one set per tag, so no pair is kept
@@ -464,18 +475,29 @@ def _audit(theorem: str, n: int) -> VerificationReport:
             if tr is None:
                 left.append(pi)
                 continue
-            report.traces.append(tr)
-            target = targets.get(tr.target_tag)
-            weight, sig = _weighed_signature(tr.output)
+            if traces:
+                report.traces.append(tr)
+            target_tag, out = tr.target_tag, tr.output
+            counts[target_tag] += 1
+            target = targets.get(target_tag)
+            weight, sig = _weighed_signature(out)
             inside = target is not None and weight == n + target[1] and member(sig, target[0])
             if not inside or target[2] and not tr.sign_flip:
                 report.contract_violations.append(tr)
-            (hits if inside else strays)[tr.target_tag].add(tr.output)
+            (hits if inside else strays)[target_tag].add(out)
+            # T1's inverse must give back the input and its source: an image
+            # inside pex(n) is inverted unchecked, and a failure is reported
+            # in full
             if theorem == "T1":
-                _check_t1_inverse(tr.output, n, inside, (tr.input, tr.source_tag), late)
+                try:
+                    same = (_inv_t1(out) if inside else inv_t1(out, n)) == (tr.input, tr.source_tag)
+                except Exception:  # _check_t1_inverse reports it
+                    same = False
+                if not same:
+                    _check_t1_inverse(out, n, (tr.input, tr.source_tag), late)
         report.domain_size += len(elements) - len(left)
     images = [*hits.values(), *strays.values()]  # distinct per tag, as the codomain is tagged
-    report.injective = sum(map(len, images)) == len(report.traces) and not report.problems
+    report.injective = sum(map(len, images)) == sum(counts.values()) and not report.problems
     for comp, (comp_fam, offset, _) in targets.items():
         left = unmapped.get((comp_fam, offset))
         if left is None:  # onto when its distinct images inside number its size
@@ -484,8 +506,7 @@ def _audit(theorem: str, n: int) -> VerificationReport:
         else:  # T3's matching: onto the elements that summand left unmapped
             hit, want = hits[comp] | strays[comp], set(left)
             size, matched, outside = len(want), len(hit & want), sorted(map(str, hit - want))
-        report.blocks[f"image:{comp}"] = matched
-        report.blocks[f"codomain:{comp}"] = size
+        report.blocks[f"image:{comp}"], report.blocks[f"codomain:{comp}"] = matched, size
         report.codomain_size += size
         if matched < size or outside:
             report.surjective = False
@@ -497,12 +518,12 @@ def _audit(theorem: str, n: int) -> VerificationReport:
         hit = set().union(*images)
         for mu in _listing(_PEX, n)[0]:
             if mu not in hit:
-                _check_t1_inverse(mu, n, True, None, late)
+                _check_t1_inverse(mu, n, None, late)
     report.problems += late
-    return report
+    return report, counts
 
 
-def verify_bijection(theorem: str, n: int) -> VerificationReport:
+def verify_bijection(theorem: str, n: int, *, traces: bool = False) -> VerificationReport:
     """Exhaustively apply the named map on its full tagged domain and
     check membership, weight, a flipped sign for every image inside a
     component that carries one (poex, co, ce), injectivity across the
@@ -516,13 +537,15 @@ def verify_bijection(theorem: str, n: int) -> VerificationReport:
     the component lines.  forward(inverse(mu)) == mu for every mu in
     pex(n) then follows from the bijection, and pex(n) is listed only
     when the count shows elements left unhit, to name them.  Failures,
-    including exceptions from the maps, are reported, never raised."""
+    including exceptions from the maps, are reported, never raised.
+    With ``traces`` the report keeps every map application in
+    ``traces``; without, it keeps none and makes every check alike."""
     if theorem == "T3":
         raise ValueError("no bijection audit for 'T3' (T3 has its own)")
-    return _audit(theorem, n)
+    return _audit(theorem, n, traces)[0]
 
 
-def verify_t3(n: int) -> VerificationReport:
+def verify_t3(n: int, *, traces: bool = False) -> VerificationReport:
     """Audit the sign-reversing structure at weight ``n`` (n > 2).
 
     Checks: (i) the matching move is injective on the s=1 elements of
@@ -535,11 +558,12 @@ def verify_t3(n: int) -> VerificationReport:
 
     ``domain_size`` counts the mapped elements (matching sources plus
     even-s elements); ``codomain_size`` the matched targets plus
-    poex(n-1).
+    poex(n-1).  ``traces`` keeps the map applications, as for
+    :func:`verify_bijection`.
     """
-    report = _audit("T3", n)
-    b, even = report.blocks, sum(tr.target_tag == "POEX" for tr in report.traces)
-    report.blocks = {"odd-domain": len(report.traces) - even, "even-domain": even,
+    report, counts = _audit("T3", n, traces)
+    b, even = report.blocks, counts["POEX"]
+    report.blocks = {"odd-domain": sum(counts.values()) - even, "even-domain": even,
                      "odd-image": b["image:SPT1O-N"] + b["image:SPT1O-N-2"],
                      "poex": b["codomain:POEX"]}
     lhs, rhs = identity_sides("T3", n)

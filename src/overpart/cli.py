@@ -44,7 +44,7 @@ MAX_N = 42
 # check-bijection maps and audits every domain element of each weight it
 # checks (codomain sizes are counted, not listed), so each theorem has its
 # own cap, sized by its domain family: T1 lists the dense spt1, and
-# check-bijection T1 --n-max 30 takes about 0.9-1.3 s and 33 MiB; the
+# check-bijection T1 --n-max 30 takes about 0.7-0.8 s and 30 MiB; the
 # other maps act on the sparse spt1o, be1 and bo1, and T2 --n-max 40
 # takes about 0.4-0.55 s and 24 MiB (fresh processes, one core of a
 # 2-vCPU x86-64 VM, Python 3.11; the spread is between sessions)
@@ -147,26 +147,26 @@ def _audit_lines(theorem: str, n: int, golden: bool) -> tuple[list[str], bool]:
     """The audit at one weight as output lines, and whether it passed.
     With ``golden`` the lines end with the frozen listing of every map
     application, used to reproduce the worked examples as snapshots,
-    read from the audit's own traces; they are released on return,
-    before the next weight is audited."""
-    r = verify_t3(n) if theorem == "T3" else verify_bijection(theorem, n)
-    status = "PASS" if r.ok else "FAIL"
+    read from the audit's own traces, which it keeps only then; they are
+    released on return, before the next weight is audited.  The lines
+    sort as text in (branch, source, input) order, as tab and space sort
+    below every character of a label or a literal."""
     if theorem == "T3":
-        b = r.blocks
-        lines = [f"T3 n={n}: matching {b['odd-domain']} -> {b['odd-image']}, "
-                 f"even {b['even-domain']} -> {b['poex']} {status}"]
+        r = verify_t3(n, traces=golden)
+        head = (f"T3 n={n}: matching {r.blocks['odd-domain']} -> {r.blocks['odd-image']}, "
+                f"even {r.blocks['even-domain']} -> {r.blocks['poex']}")
     else:
+        r = verify_bijection(theorem, n, traces=golden)
         word = "bijective" if r.injective and r.surjective else "NOT bijective"
-        lines = [f"{theorem} n={n}: domain {r.domain_size} = "
-                 f"codomain {r.codomain_size}, {word} {status}"]
+        head = f"{theorem} n={n}: domain {r.domain_size} = codomain {r.codomain_size}, {word}"
+    lines = [f"{head} {'PASS' if r.ok else 'FAIL'}"]
     if not r.ok:
         lines += (f"  problem: {p}" for p in r.problems)
         lines += (f"  violation: {json.dumps(v.to_json_dict())}" for v in r.contract_violations)
     if golden:
         lines.append(f"== {theorem} n={n} ==")
-        lines += (f"{tr.branch}\t{tr.source_tag}\t{tr.input} -> {tr.output}\t{tr.target_tag}"
-                  for tr in sorted(r.traces, key=lambda t: (t.branch, t.source_tag,
-                                                            t.input.to_text())))
+        lines += sorted(f"{tr.branch}\t{tr.source_tag}\t{tr.input} -> {tr.output}\t"
+                        f"{tr.target_tag}" for tr in r.traces)
     return lines, r.ok
 
 

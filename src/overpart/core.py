@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import index
 from typing import Callable, Iterator, NamedTuple
 
@@ -106,8 +106,7 @@ class OverPartition(tuple):
     __slots__ = ()
 
     def __new__(cls, entries=()):
-        items = []
-        prev = None
+        items, prev = [], None
         for e in entries:
             v, p, o = map(_integral, e)
             if v < 1:
@@ -141,14 +140,11 @@ class OverPartition(tuple):
     def parts(self) -> Iterator[tuple[int, bool]]:
         """Expanded parts, largest first; the overlined copy of a value
         precedes its plain copies."""
-        for v, p, o in self:
-            if o:
-                yield v, True
-            yield from ((v, False),) * p
+        return ((v, over) for v, p, o in self for over in (True,) * o + (False,) * p)
 
     def to_text(self) -> str:
         """Canonical literal; inverse of :func:`parse`."""
-        return ",".join(f"{v}o" if ov else str(v) for v, ov in self.parts()) or "[]"
+        return ",".join(map(_run_text, self)) or "[]"
 
     @property
     def weight(self) -> int:
@@ -158,17 +154,22 @@ class OverPartition(tuple):
     def num_parts(self) -> int:
         return sum(p + o for _, p, o in self)
 
-    def __str__(self) -> str:
-        return self.to_text()
+    __str__ = to_text
 
     def __repr__(self) -> str:
         return f"OverPartition({self.to_text()!r})"
 
 
-def _canonical(entries) -> OverPartition:
-    """Wrap a sequence of entry triples that is canonical by construction,
-    without revalidation; outside input goes through ``OverPartition``."""
-    return tuple.__new__(OverPartition, entries)
+@lru_cache(maxsize=1024)
+def _run_text(run) -> str:
+    # the literal of one run (v, p, o), its overlined copy first, as parts() lists it
+    return ",".join([f"{run[0]}o"] * run[2] + [str(run[0])] * run[1])
+
+
+# _canonical(entries) wraps a sequence of entry triples that is canonical by
+# construction, without revalidation; outside input goes through
+# OverPartition.  A partial, so each call costs no Python frame
+_canonical = partial(tuple.__new__, OverPartition)
 
 
 def parse(text: str) -> OverPartition:

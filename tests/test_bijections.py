@@ -446,7 +446,8 @@ def reference_t3_odd(pi):
 
 def audit_traces(theorem, n):
     # every map application of the audit at n, in domain enumeration order
-    return (verify_t3(n) if theorem == "T3" else verify_bijection(theorem, n)).traces
+    return (verify_t3(n, traces=True) if theorem == "T3"
+            else verify_bijection(theorem, n, traces=True)).traces
 
 
 def meeting_cases(tr, move):
@@ -484,7 +485,8 @@ class TestRewritesMatchSurgery:
         ("T4o", {("CaseI-n-2", "joins-s+1"), ("CaseII-n-2", "joins-s+1")}),
     ])
     def test_every_domain_element_to_20(self, theorem, meeting):
-        moves = {branch: move for branch, move, _ in bijections._AUDITS[theorem][4].values()}
+        moves = {branch: move for cases in bijections._AUDITS[theorem][4].values()
+                 for branch, move, _ in cases.values()}
         met = set()
         for n in range(IDENTITY_START[theorem], 21):
             for tr in audit_traces(theorem, n):
@@ -519,14 +521,13 @@ class TestRewritesMatchSurgery:
 
     def test_move_drops_any_last_run_copy_as_surgery_does(self):
         # _move drops one copy of the last run, a plain one when there is
-        # one, for one copy of value: at most the run's value, or one above
-        # it when the run holds a single copy
+        # one, for one copy of value: any value from 1 to the run's value,
+        # or one above it when the run holds a single copy
         multi = 0  # moves out of a last run of several copies
         for n in range(1, 13):
             for pi in overpartitions(n):
                 v, p, o = pi[-1]
-                values = [v - 1] * (v > 1) + [v] + [v + 1] * (p + o == 1)
-                for value in values:
+                for value in range(1, v + 1 + (p + o == 1)):
                     for over in (0, 1):
                         drop, add = [(v, not p)], [(value, bool(over))]
                         try:
@@ -752,7 +753,8 @@ class TestHotPath:
             return real(entries)
 
         monkeypatch.setattr(bijections, "_weighed_signature", counted)
-        r = verify_t3(n) if theorem == "T3" else verify_bijection(theorem, n)
+        r = (verify_t3(n, traces=True) if theorem == "T3"
+             else verify_bijection(theorem, n, traces=True))
         assert r.ok
         assert seen == [tr.output for tr in r.traces]
         if theorem != "T1":
@@ -901,7 +903,7 @@ def reference_round_trip(traces, n):
 def audited(theorem, n):
     # the fields reference_audit gives, from the audit under test; T3's
     # report is read before verify_t3 renames its blocks
-    r = bijections._audit(theorem, n) if theorem == "T3" else verify_bijection(theorem, n)
+    r = bijections._audit(theorem, n, False)[0] if theorem == "T3" else verify_bijection(theorem, n)
     return {"domain_size": r.domain_size, "codomain_size": r.codomain_size,
             "blocks": r.blocks, "injective": r.injective, "surjective": r.surjective,
             "problems": sorted(r.problems)}
@@ -1015,7 +1017,7 @@ class TestImageSets:
 
     def test_one_output_under_two_tags_is_two_images(self):
         # T2's two copies of pe(n-1) are hit by the same outputs, each once
-        r = verify_bijection("T2", 7)
+        r = verify_bijection("T2", 7, traces=True)
         by_tag = {tag: [tr.output for tr in r.traces if tr.target_tag == tag]
                   for tag in ("PE-copy1", "PE-copy2")}
         assert sorted(by_tag["PE-copy1"]) == sorted(by_tag["PE-copy2"])
@@ -1055,6 +1057,62 @@ class TestImageSets:
         assert f"component PE-copy2: hit 8 of 8 elements; 1 images outside it, e.g. {stray}" \
             in r.problems
         assert audited("T2", 7) == reference_audit("T2", 7)
+
+
+def audit_report(theorem, n, **kw):
+    return verify_t3(n, **kw) if theorem == "T3" else verify_bijection(theorem, n, **kw)
+
+
+def _outcome(r):
+    # every field of a report but its traces
+    return (r.ok, r.injective, r.surjective, r.domain_size, r.codomain_size, r.blocks,
+            r.problems, r.contract_violations)
+
+
+class TestAuditWithoutTraces:
+    # an audit keeps its traces only when asked, and makes every check alike
+    # without them: injectivity and T3's domain blocks come from per-tag
+    # counts of the traces, and T1's inverse is checked as each is made
+
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4e", "T4o"])
+    def test_same_outcome_with_and_without_traces(self, theorem):
+        for n in range(IDENTITY_START[theorem], 17):
+            bare, full = audit_report(theorem, n), audit_report(theorem, n, traces=True)
+            assert bare.traces == []
+            assert len(full.traces) == full.domain_size, n
+            assert _outcome(bare) == _outcome(full), n
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_same_outcome_under_mutation(self, monkeypatch, mutation):
+        theorem, name, make = MUTATIONS[mutation]
+        monkeypatch.setattr(bijections, name, make())
+        for n in range(IDENTITY_START[theorem], 13):
+            bare, full = audit_report(theorem, n), audit_report(theorem, n, traces=True)
+            assert bare.traces == []
+            assert _outcome(bare) == _outcome(full), n
+
+    @pytest.mark.parametrize("theorem, name, n, branch, lost", [
+        ("T4e", "_labelled_map", 9, "CaseII-s1", "component PE: hit 13 of 14 elements"),
+        ("T3", "_match", 9, "odd-plain", "component SPT1O-N-2: hit 10 of 11 elements"),
+    ])
+    def test_collision_breaks_injectivity_without_traces(self, monkeypatch, theorem, name, n,
+                                                          branch, lost):
+        # two domain elements sent to one output: the distinct images fall
+        # one short of the traces counted, though none is kept
+        TestCountCertifiedAudit._collide(monkeypatch, theorem, name, n, branch)
+        r = audit_report(theorem, n)
+        assert r.traces == []
+        assert not r.injective and not r.surjective and not r.ok
+        assert not r.contract_violations
+        assert r.problems == [lost]
+        assert _outcome(r) == _outcome(audit_report(theorem, n, traces=True))
+        if theorem == "T3":  # the matching still counts 14 sources, now onto 13 images
+            assert r.blocks == {"odd-domain": 14, "odd-image": 13, "even-domain": 6, "poex": 6}
+
+    def test_only_asked_for_by_keyword(self):
+        for audit, args in [(verify_bijection, ("T2", 7)), (verify_t3, (9,))]:
+            with pytest.raises(TypeError):
+                audit(*args, True)
 
 
 @st.composite

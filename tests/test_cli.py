@@ -329,6 +329,41 @@ class TestCheckBijection:
         assert len(calls) == len(set(calls)) > 0
         assert out.count("\n== ") == 11 - cli.IDENTITY_START[theorem]
 
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4e", "T4o"])
+    def test_golden_lines_sort_as_text_in_key_order(self, theorem):
+        # sorted as text, the lines fall in (branch, source, input text)
+        # order: tab and space sort below every character of a label or a
+        # literal.  No two traces share a key, so that order is total.  T4o's
+        # domain is empty at even n
+        def key(tr):
+            return tr.branch, tr.source_tag, tr.input.to_text()
+
+        seen = 0
+        for n in range(cli.IDENTITY_START[theorem], 15):
+            r = (bijections.verify_t3(n, traces=True) if theorem == "T3"
+                 else bijections.verify_bijection(theorem, n, traces=True))
+            assert len({key(tr) for tr in r.traces}) == len(r.traces)
+            seen += len(r.traces)
+            want = [f"{tr.branch}\t{tr.source_tag}\t{tr.input} -> {tr.output}\t{tr.target_tag}"
+                    for tr in sorted(r.traces, key=key)]
+            lines, ok = cli._audit_lines(theorem, n, True)
+            assert ok and lines[2:] == want and lines[1] == f"== {theorem} n={n} ==", n
+        assert seen
+
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4e", "T4o"])
+    def test_traces_kept_only_for_golden(self, capsys, monkeypatch, theorem):
+        asked = []
+        for name in ("verify_bijection", "verify_t3"):
+            real = getattr(cli, name)
+
+            def spy(*args, traces, real=real):
+                asked.append(traces)
+                return real(*args, traces=traces)
+            monkeypatch.setattr(cli, name, spy)
+        assert run(capsys, "check-bijection", theorem, "--n", "9")[0] == 0
+        assert run(capsys, "check-bijection", theorem, "--n", "9", "--golden")[0] == 0
+        assert asked == [False, True]
+
     def test_failed_audit_exits_1_with_problems(self, capsys, monkeypatch):
         # a map that sends the POEX branches to the wrong component
         real = bijections._labelled_map
@@ -521,14 +556,14 @@ class TestEnumerationCap:
             seen.append(n_max)
             return []
 
-        def audit(theorem, n):
+        def audit(theorem, n, *, traces=False):
             seen.append(n)
             blocks = dict.fromkeys(("odd-domain", "odd-image", "even-domain", "poex"), 0)
             return bijections.VerificationReport(theorem, n, 0, 0, True, True, blocks=blocks)
 
         monkeypatch.setattr(cli, "cross_check", cross_check)
         monkeypatch.setattr(cli, "verify_bijection", audit)
-        monkeypatch.setattr(cli, "verify_t3", lambda n: audit("T3", n))
+        monkeypatch.setattr(cli, "verify_t3", lambda n, *, traces=False: audit("T3", n))
         return seen
 
     @pytest.mark.parametrize("argv,cap", GUARDED)

@@ -77,6 +77,22 @@ class TestFormat:
     def test_roundtrip_random(self, pi):
         assert parse(pi.to_text()) == pi
 
+    def test_text_is_the_expanded_parts_literal_to_20(self):
+        # to_text joins one cached text per run; the definition it replaced
+        # joins the expanded parts, as the generator below lists them
+        def expanded(pi):
+            for v, p, o in pi:
+                if o:
+                    yield v, True
+                yield from ((v, False),) * p
+
+        for n in range(21):
+            for pi in overpartitions(n):
+                parts = list(expanded(pi))
+                assert list(pi.parts()) == parts
+                assert pi.to_text() == str(pi) == (
+                    ",".join(f"{v}o" if ov else str(v) for v, ov in parts) or "[]")
+
     @pytest.mark.parametrize("n", range(21))
     def test_roundtrip_exhaustive(self, n):
         for pi in overpartitions(n):
