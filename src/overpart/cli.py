@@ -25,15 +25,15 @@ from .qseries import K_COLUMNS, cross_check, series_for_token
 
 DEFAULT_ORDER = 200
 # a series is read from products built by Gauss's theta identity in
-# O(order^1.5) additions and from spt columns k <= K_COLUMNS telescoped in
-# O(order) each; a column with a larger k is summed forward in
-# O(order^2/k).  At this order be1 (two signed passes) takes about 0.14 s
-# and 20 MiB, selftest --n-max 30 --k-max 4 (three passes) about 0.3 s
-# and 22 MiB, and the slowest columns, k = 5, about 0.4 s (sptk) and
-# 0.9 s (be) (fresh process, one core of a 2-vCPU x86-64 VM, Python 3.11).
-# Each k above K_COLUMNS costs selftest three more passes with a forward
-# sum each: --k-max 8 takes about 4.6-5.9 s, and --n-max 42 --k-max 42
-# 15-27 s (fresh processes, same VM; the spread is between sessions)
+# O(order^1.5) additions and from spt columns, each telescoped from the
+# one before in O(order) or, past qseries.CROSSOVER, summed forward in
+# O(order^2/k).  At this order be1 (the even and odd chains at z = +1
+# and -1) takes about 0.2 s and 19-20 MiB, selftest --n-max 30 --k-max 4
+# about 0.15-0.18 s and 23 MiB, and the slowest lone columns, be --k K
+# for K near the crossover (about 24), 0.2-0.35 s and 32 MiB; selftest
+# --n-max 30 --k-max 8 takes about 0.2 s and 30 MiB, and --n-max 42
+# --k-max 42 about 2-3.5 s and 76 MiB (fresh processes, one core of a
+# 2-vCPU x86-64 VM, Python 3.11; the spread is between runs)
 MAX_ORDER = 4000
 # count, table, verify and selftest count from a memo of run-state
 # vectors and list no overpartition; at this cap, where pbar(42) =

@@ -298,11 +298,6 @@ _STATES = [(odd, even, parity) for odd in range(3) for even in range(3) for pari
 _STEP = [[[6 * min(odd + vo, 2) + 2 * min(even + 1 - vo, 2) + (parity ^ to)
            for odd, even, parity in _STATES] for to in (0, 1)] for vo in (0, 1)]
 
-# one object per distinct signature, so that a lookup of an equal
-# signature stops at the identity check
-_SIGNATURES: dict[Signature, Signature] = {}
-
-
 @lru_cache(maxsize=None)
 def _signature_of(state: int, last) -> Signature:
     """The :class:`Signature` of runs whose run state, the last run
@@ -319,12 +314,11 @@ def _signature_of(state: int, last) -> Signature:
     # every other value has the opposite parity: odd s is the only odd
     # value, even s the only even one
     opposite = k > 0 and (odd_values if odd_last else even_values) == 1
-    sig = Signature(odd_values == 0, even_values == 0, one and plain > 0, parity, k, opposite)
-    return _SIGNATURES.setdefault(sig, sig)
+    return Signature(odd_values == 0, even_values == 0, one and plain > 0, parity, k, opposite)
 
 
 def _weighed_signature(entries) -> tuple[int, Signature]:
-    """The weight and the interned :class:`Signature` of a canonical
+    """The weight and the :class:`Signature` of a canonical
     sequence of ``(value, plain, over)`` runs, read in one pass that steps
     the run state by :data:`_STEP`."""
     state = weight = 0
@@ -336,7 +330,7 @@ def _weighed_signature(entries) -> tuple[int, Signature]:
 
 
 def signature(entries) -> Signature:
-    """The interned :class:`Signature` of an overpartition, or of any
+    """The :class:`Signature` of an overpartition, or of any
     canonical sequence of ``(value, plain, over)`` runs."""
     return _weighed_signature(entries)[1]
 

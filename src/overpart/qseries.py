@@ -16,8 +16,8 @@ refinements.
 A :class:`Series` only holds the result: the truncation order and the
 coefficients of q^0 .. q^order.  Every series is a linear combination
 of a few products with polynomials in q as coefficients (as in Malik
-and Sarma, arXiv:2601.15601), and only the forward sum of a column with
-k above K_COLUMNS takes the part factors out one by one:
+and Sarma, arXiv:2601.15601), and only the forward sum of a column past
+the crossover takes the part factors out one by one:
 
 * Products.  By Gauss's identity (Andrews, *The Theory of Partitions*,
   ch. 2),
@@ -39,18 +39,20 @@ k above K_COLUMNS takes the part factors out one by one:
       z*(1 + q^k) C_k = q^(k-1) (P_0 + C_{k-1}) - C_{k-1} - z*q^k P_0,
       z*(1 + q) C_1 = (1 - z*q) P_0 - 1,
 
-  so each column k <= K_COLUMNS costs O(order) additions given the one
-  before; at z = 1 the second line is T1, (1 + q) spt1 = pex - 1.
-  Dividing by 1 + q^k is a running difference along each residue class
-  mod k.  The parity columns split s by its parity and run the same
-  chain on the even and on the odd products.  A column with k above
-  K_COLUMNS is summed forward instead, P_s from P_{s-1} by taking out
-  the factor of s, in O(order^2/k) additions.
+  so each column costs O(order) additions given the one before, and
+  the column k O(k*order) from P_0; at z = 1 the second line is T1,
+  (1 + q) spt1 = pex - 1.  Dividing by 1 + q^k is a running difference
+  along each residue class mod k.  The parity columns split s by its
+  parity and run the same recurrence on the even and on the odd
+  products.  Summed forward, P_s from P_{s-1} by taking out the factor
+  of s, the column k costs O(order^2/k) additions instead, so a column
+  with k*k above a fixed share of the order, the crossover, is summed
+  forward.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import isqrt
 from operator import add, sub
@@ -63,10 +65,17 @@ from .core import (
 
 __all__ = ["Series", "family_series", "cross_check"]
 
-# every backward pass yields the columns k = 1 .. K_COLUMNS besides the k
-# asked for; this is also selftest's default --k-max, so a default
-# selftest makes one pass per (z, parity)
+# the first spt column read at an order and z builds the columns 1 ..
+# K_COLUMNS; this is also selftest's default --k-max
 K_COLUMNS = 4
+# the column k of a chain that steps by d (1 for the spt columns, 2 for
+# the parity chains) is telescoped from column k - 1 while
+# CROSSOVER*d*k*k <= order, else summed forward: alone, it costs
+# O(k*order) one way and O(order^2/(d*k)) the other.  The two meet near
+# k = 13 (d = 2) and k = 18-20 (d = 1) at order 1000, and near k = 25
+# (d = 2) and k = 35 (d = 1) at order 4000 (one core of a 2-vCPU x86-64
+# VM, Python 3.11)
+CROSSOVER = 3
 
 
 class Series(NamedTuple("Series", [("order", int), ("coeffs", tuple[int, ...])])):
@@ -119,70 +128,53 @@ def _theta(coeffs: list[int], step: int, power: int) -> list[int]:
     return coeffs
 
 
-def _chain(prod: list[int], z: int, d: int, lift: int):
-    """Yield X_k = sum_{i>=1} q^(d*k*i) Q_i for k = 1 .. K_COLUMNS, where
-    Q_0 = ``prod`` and Q_i is Q_{i-1} over the factor F_e of e = d*i - lift.
+@lru_cache(maxsize=128)
+def _column(order: int, z: int, d: int, lift: int, k: int) -> tuple[int, ...]:
+    """X_k = sum_{i>=1} q^(d*k*i) Q_i of one chain, as q^0 .. q^order, and
+    its product X_0 = Q_0; Q_i is Q_{i-1} over the factor F_e of e = d*i -
+    lift.
 
-    (d, lift) = (1, 0) gives the spt columns C_k from P_0, (2, 0) the same
-    in q^2 from the even product, and (2, 1) the sums over the even s =
-    2i of q^(k*s) times the odd product above s, which loses the factor
-    of the odd value 2i - 1 at step i.  Summing q^(d*(k-1)*i) times
-    (Q_{i-1} - Q_i) = z*q^e (Q_{i-1} + Q_i) over i >= 1 gives
+    (d, lift) = (1, 0) gives P_0 and the spt columns C_k, (2, 0) the even
+    product and the same columns in q^2, and (2, 1) the odd product and
+    the sums over the even s = 2i of q^(k*s) times the odd product above
+    s, which loses the factor of the odd value 2i - 1 at step i.  Summing
+    q^(d*(k-1)*i) times (Q_{i-1} - Q_i) = z*q^e (Q_{i-1} + Q_i) over i >=
+    1 gives
 
         z*(1 + q^(d*k)) X_k = q^lift I_k - z*q^(d*k) Q_0,
 
     with I_1 = Q_0 - 1, since that sum telescopes, and I_k = q^(d*(k-1))
-    (Q_0 + X_{k-1}) - X_{k-1}."""
-    inner = [prod[0] - 1, *prod[1:]]
-    for m in range(d, d * K_COLUMNS + 1, d):
-        col = [z * a - b for a, b in zip(([0] * lift + inner)[:len(prod)], [0] * m + prod)]
-        _divide(col, m, -1)
-        yield col
-        inner = [a - b for a, b in zip([0] * m + list(map(add, prod, col)), col)]
-
-
-def _forward_sum(prods: list[list[int]], k: int, z: int, order: int) -> list[int]:
-    """sum_{s>=1} q^(k*s) P_s, where P_s is P_{s-1} with the factor of s
-    taken out, on a list cut to the order - k*s + 1 coefficients that its
-    term reads.  With two products, over the even and over the odd
-    values, the one of s's parity loses the factor and the other is
-    read.  For k > order the sum is 0 and nothing is computed."""
-    col = [0] * (order + 1)
-    for s in range(1, order // k + 1):
-        own = s % len(prods)
-        prods[own] = prods[own][:order - k * s + 1]
-        _times_part_factor(prods[own], s, -z)
-        col[k * s:] = map(add, col[k * s:], prods[own - 1])
-    return col
-
-
-@lru_cache(maxsize=16)
-def _backward_pass(order: int, z: int, split: bool, k_top: int):
-    """The products and the spt columns of one (order, z, parity).
-
-    Returns ``(evens, odds, columns)``: the products of (1 + z*q^j)/(1 -
-    z*q^j) over the even and over the odd values j when ``split``, else
-    the product P_0 over all values twice, and a dict from k to the sum
-    over s >= 1 of q^(k*s) times the product over the values above s
-    (with ``split``, over those of the parity opposite to s), for k <=
-    K_COLUMNS and k = ``k_top``.  Each is a tuple of q^0 .. q^order.
-
-    With ``split`` an odd s reads the even values above it, the product
-    E_0 at s = 1 and P_{(s-1)/2}(q^2) in general, and an even s the odd
-    values above it, so the column k is q^k (E_0 + Y_k) + B_k: Y_k is
-    the unsplit column run in q^2 from E_0, and B_k the chain of the odd
-    product over the even s."""
-    prod = _theta([1] + [0] * order, 1, -z)
-    if split:
-        evens, odds = _theta([1] + [0] * order, 2, -z), _theta(prod[:], 2, z)
-        columns = {k: [a + b for a, b in zip([0] * k + list(map(add, evens, y)), x)] for k, (y, x)
-                   in enumerate(zip(_chain(evens, z, 2, 0), _chain(odds, z, 2, 1)), 1)}
+    (Q_0 + X_{k-1}) - X_{k-1}.  Past the crossover the column is summed
+    forward instead, each Q_i cut to the order - d*k*i + 1 coefficients
+    that its term reads; for d*k > order the sum is 0."""
+    if k == 0:
+        return tuple(_theta(list(_column(order, z, 1, 0, 0)), 2, z) if lift
+                     else _theta([1] + [0] * order, d, -z))
+    prod, m = _column(order, z, d, lift, 0), d * k
+    if CROSSOVER * m * k > order:
+        col, q = [0] * (order + 1), list(prod)
+        for i in range(1, order // m + 1):
+            _times_part_factor(q := q[:order - m * i + 1], d * i - lift, -z)
+            col[m * i:] = map(add, col[m * i:], q)
+        return tuple(col)
+    if k == 1:
+        inner = [prod[0] - 1, *prod[1:]]
     else:
-        evens = odds = prod
-        columns = dict(enumerate(_chain(prod, z, 1, 0), 1))
-    if k_top > K_COLUMNS:
-        columns[k_top] = _forward_sum([evens, odds] if split else [prod], k_top, z, order)
-    return tuple(evens), tuple(odds), {k: tuple(col) for k, col in columns.items()}
+        prev = _column(order, z, d, lift, k - 1)
+        inner = [a - b for a, b in zip([0] * (m - d) + list(map(add, prod, prev)), prev)]
+    col = [z * a - b for a, b in zip(([0] * lift + inner)[:order + 1], (0,) * m + prod)]
+    _divide(col, m, -1)
+    return tuple(col)
+
+
+@lru_cache(maxsize=128)
+def _split_column(order: int, z: int, k: int) -> tuple[int, ...]:
+    """The SPTKO column k.  An odd s reads the even values above it, the
+    even product E_0 at s = 1 and P_{(s-1)/2}(q^2) in general, and an
+    even s the odd values above it, so the column is q^k (E_0 + Y_k) +
+    B_k, with Y_k and B_k the columns k of the even and the odd chain."""
+    evens = map(add, _column(order, z, 2, 0, 0), _column(order, z, 2, 0, k))
+    return tuple(map(add, [0] * min(k, order + 1) + list(evens), _column(order, z, 2, 1, k)))
 
 
 def _halved(plus: Series, minus: Series, even_half: bool) -> Series:
@@ -192,6 +184,7 @@ def _halved(plus: Series, minus: Series, even_half: bool) -> Series:
     return Series(plus.order, tuple(tot // 2 for tot in totals))
 
 
+@lru_cache(maxsize=128)
 def family_series(fam: FamilySpec, order: int, z: int = 1) -> Series:
     """Generating series of the family, truncated at ``order``.
 
@@ -212,17 +205,24 @@ def family_series(fam: FamilySpec, order: int, z: int = 1) -> Series:
                           for signed, halves in SIGNED_REFINEMENTS.items() if fid in halves)
         return _halved(family_series(base, order, 1), family_series(base, order, -1),
                        even_half=(fid == even))
-    evens, odds, columns = _backward_pass(order, z, fid in (PE, POEX, SPTKO),
-                                          max(fam.k, K_COLUMNS))
+    d = 2 if fid in (PE, POEX, SPTKO) else 1
+    # P_0, the even product (PE, SPTKO) or the odd product (POEX)
+    prod = _column(order, z, d, int(fid == POEX), 0)
+    if fid in (PBAR, PE):
+        return Series(order, prod)
     if fid in (PEX, POEX):
         # value 1 may appear only overlined, a factor 1 + z*q, and every
         # value >= 2 (PEX) or every odd value >= 3 (POEX) is free: (1 - z*q)
         # times P_0 or the odd product, whose factor of 1 is (1 + z*q)/(1 - z*q)
-        return Series(order, (odds[0], *map(sub if z == 1 else add, odds[1:], odds)))
-    # PBAR and PE read P_0, SPTK and SPTKO their column: the k plain copies
-    # of s carry no z weight, only the parts above s (of the parity
-    # opposite to s for SPTKO) are signed
-    return Series(order, evens if fid in (PBAR, PE) else columns[fam.k])
+        return Series(order, (prod[0], *map(sub if z == 1 else add, prod[1:], prod)))
+    # SPTK reads the column k of P_0's chain, SPTKO the one _split_column
+    # assembles from the even and the odd chain: the k plain copies of s
+    # carry no z weight, only the parts above s (of the parity opposite to
+    # s for SPTKO) are signed.  The first column read at an order and z
+    # builds its columns 1 .. K_COLUMNS together, before the column k, so
+    # that the other small k at this order are cache hits
+    column = partial(_column, order, z, 1, 0) if d == 1 else partial(_split_column, order, z)
+    return Series(order, [column(j) for j in (*range(1, K_COLUMNS + 1), fam.k)][-1])
 
 
 def series_for_token(token: str, order: int, default_k: int = 1) -> Series:

@@ -3,10 +3,11 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import overpart.bijections as bijections
+import overpart.cli as cli
 import overpart.enumeration as enumeration
 from overpart.core import (
     PEX, SPTKO, CollisionError, FamilySpec, OverPartition, OverpartitionError, is_member, parse,
@@ -1134,6 +1135,19 @@ def members(draw, opposite):
     return OverPartition(runs[::-1])
 
 
+@st.composite
+def map_cases(draw):
+    # a member, a source (None for the default) and a theorem whose domain
+    # can hold it: T1 for spt1, the others for spt1o.  The T4 half of the
+    # wrong parity, T3's matching images and a source that names no summand
+    # of the theorem are refused
+    opposite = draw(st.booleans())
+    theorem = draw(st.sampled_from(["T2", "T3", "T4e", "T4o"] if opposite else ["T1"]))
+    tags = [None, SOURCE_N, SOURCE_N_MINUS_2, SOURCE_N_MINUS_1]
+    tag = draw(st.sampled_from(tags[:3 + (not opposite)]))
+    return draw(members(opposite)), tag, theorem
+
+
 # target tag -> (family token, weight offset from n, whether the family
 # carries a sign), written out apart from the module's own table
 TARGETS = {
@@ -1181,3 +1195,43 @@ class TestMapProperties:
         if n < IDENTITY_START["T1"]:
             return
         assert inv_t1(map_t1(pi, tag, n).output, n) == (pi, tag), (str(pi), tag)
+
+    # one parser for every example: building it costs milliseconds, parsing
+    # an argv microseconds
+    PARSER = cli.build_parser()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(map_cases())
+    @example((parse("4,4,2o,2,2,2,1"), SOURCE_N, "T3"))  # s2 = 2 with both kinds of copy
+    def test_map_prints_the_fields_of_the_trace(self, case):
+        # map in text and in JSON prints each field of the trace apply_map
+        # returns, the literals as written, and ambiguousS2 only when set;
+        # an input apply_map refuses, map refuses with the same error
+        pi, tag, theorem = case
+        n = pi.weight + {SOURCE_N_MINUS_1: 1, SOURCE_N_MINUS_2: 2}.get(tag, 0)
+        argv = ["map", theorem, "--input", str(pi), "--n", str(n)] + ["--source", tag] * bool(tag)
+        try:
+            tr = apply_map(theorem, pi, n, tag)
+        except (PreconditionError, ValueError) as exc:
+            for fmt in ("text", "json"):
+                args = self.PARSER.parse_args(argv + ["--format", fmt])
+                with pytest.raises(type(exc)) as got:
+                    args.func(args)
+                assert str(got.value) == str(exc), (argv, fmt)
+            return
+        fields = {"theorem": tr.theorem, "source": tr.source_tag, "branch": tr.branch,
+                  "input": str(pi), "output": str(tr.output), "target": tr.target_tag,
+                  "signFlip": tr.sign_flip}
+        if tr.ambiguous_s2:
+            fields["ambiguousS2"] = True
+        args = self.PARSER.parse_args(argv + ["--format", "text"])
+        text, code = args.func(args)
+        assert code == 0
+        assert dict(pair.split("=") for pair in text.split(" ")) == {
+            key: str(v).lower() if isinstance(v, bool) else v for key, v in fields.items()}, argv
+        args = self.PARSER.parse_args(argv + ["--format", "json"])
+        text, code = args.func(args)
+        renamed = {"source": "sourceTag", "target": "targetTag"}
+        assert code == 0
+        assert json.loads(text) == {renamed.get(key, key): v for key, v in fields.items()}, argv
+        assert list(json.loads(text)) == [renamed.get(key, key) for key in fields]

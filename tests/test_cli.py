@@ -488,7 +488,7 @@ class TestSeries:
     @pytest.mark.parametrize("token", list(dict.fromkeys(
         profile_tokens(4) + ["pbar", "pe", "pex", "poex", "ce", "co", "poex-prime"])))
     def test_order_below_1_rejected_before_any_table(self, capsys, monkeypatch, token, order):
-        monkeypatch.setattr(qseries, "_backward_pass", lambda *args: pytest.fail("built"))
+        monkeypatch.setattr(qseries, "_column", lambda *args: pytest.fail("built"))
         code, out, err = run(capsys, "series", token, "--order", order)
         assert (code, out) == (2, "")
         assert err.startswith("error: order must be >= 1\n")

@@ -89,8 +89,6 @@ class TestEnumeration:
         assert sigs == [signature(runs) for runs, _ in walked]
         assert [runs for runs, _ in walked] == list(overpartitions(n))
         assert len(walked) == PBAR_0_18[n]
-        # interned: equal signatures are one object
-        assert len(set(map(id, sigs))) == len(set(sigs))
 
 
 class TestFamilyStreams:
@@ -313,7 +311,7 @@ class TestRunStateMemo:
         # one entry of _signature_of's cache
         for first, second in (("6,4", "8,2"), ("6,3", "8,5"),
                               ("9,7,5,3", "7,7,5,3"), ("8,6,6,4o", "10,8,6,4o")):
-            _signature_of.cache_clear()  # signatures stay interned
+            _signature_of.cache_clear()
             signature(parse(first))
             size = _signature_of.cache_info().currsize
             assert signature(parse(second)) is signature(parse(first))

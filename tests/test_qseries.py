@@ -1,6 +1,7 @@
 import ast
 import tracemalloc
 from functools import lru_cache
+from math import isqrt
 from operator import add, sub
 
 import pytest
@@ -14,6 +15,12 @@ from overpart.qseries import (
     Series, cross_check, family_series, series_for_token,
 )
 import overpart.qseries as qseries
+
+
+def _clear_series_caches():
+    qseries._column.cache_clear()
+    qseries._split_column.cache_clear()
+    qseries.family_series.cache_clear()
 
 
 # Dense reference: each factor (1 + z*q^j)/(1 - z*q^j) from its closed
@@ -192,8 +199,9 @@ class TestCrossCheck:
             cross_check(10, 1, 5)
 
     def test_corrupted_factor_detected(self, monkeypatch):
-        # one theta term and one chain step, each corrupted in turn; the
-        # memoized passes are rerun through each
+        # one theta term and one chain step, each corrupted in turn; every
+        # series cache is cleared around each, so that the products, the
+        # columns and the assembled series are all rebuilt through it
         real_isqrt, real_divide = qseries.isqrt, qseries._divide
 
         def short_isqrt(x):
@@ -207,11 +215,11 @@ class TestCrossCheck:
         for name, corrupted in (("isqrt", short_isqrt), ("_divide", slipped)):
             with monkeypatch.context() as patch:
                 patch.setattr(qseries, name, corrupted)
-                qseries._backward_pass.cache_clear()
+                _clear_series_caches()
                 try:
                     mismatches = cross_check(13, 1, 13)
                 finally:
-                    qseries._backward_pass.cache_clear()
+                    _clear_series_caches()
             assert mismatches, name
 
     def test_series_module_imports_no_enumeration(self):
@@ -305,8 +313,10 @@ class TestInPlaceEngine:
 
     @pytest.mark.parametrize("order", [*range(1, 41), 200])
     def test_family_series_matches_dense_reference(self, order):
-        # k = 5 and 6 ask a pass for a column above K_COLUMNS, summed
-        # forward, as do k = order // 2 and order; k = order + 1 is all 0
+        # the columns k <= 6 are telescoped or summed forward as the
+        # crossover falls at each order (all telescoped at order 200);
+        # k = order // 2 and order are summed forward, and k = order + 1
+        # is all 0
         tokens = profile_tokens(6)
         for k in {order // 2, order, order + 1} - {0}:
             tokens += profile_tokens(k)[-5:]
@@ -316,33 +326,74 @@ class TestInPlaceEngine:
             assert list(family_series(fam, order, z).coeffs) == _dense_series(fam, order, z), token
 
 
+# every chain (d, lift) of the engine: P_0's, the even product's and the
+# odd product's
+CHAINS = ((1, 0), (2, 0), (2, 1))
+
+
 class TestOnePass:
-    @pytest.mark.parametrize("order", [1, 2, 9, 60])
+    @pytest.mark.parametrize("order", [1, 2, 9, 60, 200, 600])
     def test_one_pass_serves_every_column(self, order, monkeypatch):
-        # one pass per (order, z, parity) serves every k <= K_COLUMNS column
-        # and the P_0 and odd-product series, and none of them takes out a
-        # part factor; the halved families read the two signed passes
+        # every series at one order reads its products from one cache entry
+        # per (z, chain), each built once by _theta however many tokens read
+        # it: P_0 and the even product from 1, the odd product from P_0
+        built = []
+        real_theta = qseries._theta
+
+        def theta(coeffs, step, power):
+            built.append((step, power, coeffs == _unit(order)))
+            return real_theta(coeffs, step, power)
+
+        monkeypatch.setattr(qseries, "_theta", theta)
+        _clear_series_caches()
+        try:
+            for token in profile_tokens(qseries.K_COLUMNS) * 2:
+                series_for_token(token, order)
+            assert sorted(built) == sorted(
+                (step, power, unit) for z in (1, -1)
+                for step, power, unit in ((1, -z, True), (2, -z, True), (2, z, False)))
+            # every column with 6*k*k <= order is telescoped from the one
+            # below it on each chain, down to the product, and takes out no
+            # part factor
+            monkeypatch.setattr(qseries, "_times_part_factor",
+                                lambda coeffs, j, z: pytest.fail(f"factor of {j} taken out"))
+            qseries._column.cache_clear()
+            for z in (1, -1):
+                for d, lift in CHAINS:
+                    for k in range(1, isqrt(order // 6) + 1):
+                        qseries._column(order, z, d, lift, k)
+        finally:
+            _clear_series_caches()
+
+    def test_selftest_computes_each_column_once(self, monkeypatch):
+        # cross_check asks for every column k <= k_max of every chain; each
+        # (order, z, chain, k) column is computed once, by telescoping, so
+        # that a larger --k-max adds O(order) per column, not a forward sum
+        computed = []
+        real = qseries._column.__wrapped__
+
+        def column(*key):
+            computed.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(qseries, "_column", lru_cache(
+            maxsize=qseries._column.cache_parameters()["maxsize"])(column))
         monkeypatch.setattr(qseries, "_times_part_factor",
                             lambda coeffs, j, z: pytest.fail(f"factor of {j} taken out"))
-        qseries._backward_pass.cache_clear()
+        _clear_series_caches()
         try:
-            ks = range(1, qseries.K_COLUMNS + 1)
-            for tokens in (["pbar", "pex", *(f"spt{k}" for k in ks)],
-                           ["pe", "poex", *(f"spt{k}o" for k in ks)],
-                           ["poex-prime", "ce", "co", *(f"{stem}{k}{suffix}" for k in ks
-                            for stem, suffix in (("spt", "o-prime"), ("be", ""), ("bo", "")))]):
-                before = qseries._backward_pass.cache_info().misses
-                for token in tokens * 2:
-                    series_for_token(token, order)
-                assert qseries._backward_pass.cache_info().misses - before == 1, tokens
+            assert cross_check(30, 8, 600) == []
         finally:
-            qseries._backward_pass.cache_clear()
+            _clear_series_caches()
+        assert len(computed) == len(set(computed))
+        assert set(computed) == {(600, z, d, lift, k) for z in (1, -1) for d, lift in CHAINS
+                                 for k in range(9) if (z, d, k > 0) != (-1, 1, True)}
 
     def test_spt1_needs_order_memory(self):
-        # the pass keeps a few running lists, not a table of every suffix
+        # the chain keeps a few running lists, not a table of every suffix
         # product: 0.2 MiB traced peak at order 600, where the table held
         # 4.8 MiB and grew as order^2
-        qseries._backward_pass.cache_clear()
+        _clear_series_caches()
         tracemalloc.start()
         try:
             family_series(FamilySpec(SPTK, 1), 600)
@@ -383,24 +434,26 @@ class TestZeroBand:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 7, 30])
     def test_suffix_entries_are_one_then_zero_to_q_s(self, order, monkeypatch):
-        # the forward sum of a column above K_COLUMNS hands the primitive, once
-        # per s <= order // k, the product over the values >= s (of s's parity
-        # when split) cut to the order - k*s + 1 coefficients its term reads:
-        # 1, then 0 up to q^(s-1).  For k > order it hands nothing
+        # the forward sum of a column past the crossover hands the primitive,
+        # once per i <= order // (d*k), the chain's product over the values
+        # >= e = d*i - lift (of e's parity when d = 2), cut to the
+        # order - d*k*i + 1 coefficients its term reads: 1, then 0 up to
+        # q^(e-1).  For d*k > order it hands nothing
         real = qseries._times_part_factor
-        k = qseries.K_COLUMNS + 1
+        k = isqrt(order // qseries.CROSSOVER) + 1  # the first k past it on every chain
         for z in (1, -1):
-            for split in (False, True):
+            for d, lift in CHAINS:
+                parity = "all" if d == 1 else ("odd" if lift else "even")
                 handed = []
 
                 def recording(coeffs, j, sign):
+                    i = (j + lift) // d
                     handed.append(j)
-                    parity = ("odd" if j % 2 else "even") if split else "all"
                     assert sign == -z
-                    assert coeffs == _dense_suffix(order, z, parity)[j - 1][:order - k * j + 1]
-                    assert coeffs[:j] == ([1] + [0] * (j - 1))[:len(coeffs)], (z, split, j)
+                    assert coeffs == _dense_suffix(order, z, parity)[j - 1][:order - d * k * i + 1]
+                    assert coeffs[:j] == ([1] + [0] * (j - 1))[:len(coeffs)], (z, d, lift, j)
                     real(coeffs, j, sign)
 
                 monkeypatch.setattr(qseries, "_times_part_factor", recording)
-                qseries._backward_pass.__wrapped__(order, z, split, k)
-                assert handed == list(range(1, order // k + 1))
+                qseries._column.__wrapped__(order, z, d, lift, k)
+                assert handed == [d * i - lift for i in range(1, order // (d * k) + 1)]
